@@ -41,10 +41,13 @@ from .ingest import (
 )
 from .multimodal import (
     DistanceSweepRow,
+    FrameMatch,
     Matching,
     distance_prune,
     lost_ratio,
     match_boxes,
+    match_frame,
+    pooled_sweep,
     redundancy_ratio,
     sweep_distance,
     welch_t_test,
@@ -57,10 +60,15 @@ from .multisource import (
     cosine_similarity,
     crop_overlap,
     form_groups,
+    group_stats,
     prune_dataset,
     prune_group,
     sweep_tau,
 )
+
+# Not public API. perfbench's tracer wraps only functions that are public or
+# imported by another redkit module, and its grouping metrics hook this one.
+from .multisource import _index_dataset  # noqa: F401
 from .overlap import (
     OverlapGraph,
     OverlapPair,
@@ -92,6 +100,7 @@ __all__ = [
     "Dataset",
     "DistanceSweepRow",
     "Frame",
+    "FrameMatch",
     "GrayImage",
     "GroundTruth",
     "Matching",
@@ -121,16 +130,19 @@ __all__ = [
     "emit_labels",
     "form_groups",
     "generate_scene",
+    "group_stats",
     "horizontal_fov",
     "iou2d",
     "iou3d",
     "lost_ratio",
     "match_boxes",
+    "match_frame",
     "nuscenes_like_cameras",
     "overlap_arc",
     "parse_dataset",
     "parse_detection_set",
     "parse_pgm",
+    "pooled_sweep",
     "preset_nuscenes",
     "project_cuboid",
     "prune_dataset",

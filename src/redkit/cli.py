@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
-from .geometry import centroid_distance, iou3d
+from .geometry import centroid_distance
 from .ingest import (
     Dataset,
     ParseError,
@@ -26,11 +27,11 @@ from .ingest import (
     parse_pgm,
     write_dataset,
 )
-from .multimodal import redundancy_ratio, welch_t_test
+from .multimodal import match_frame, pooled_sweep, welch_t_test
 from .multisource import (
-    _index_dataset,
     cosine_similarity,
     crop_overlap,
+    group_stats,
     prune_dataset,
     sweep_tau,
 )
@@ -38,7 +39,6 @@ from .overlap import OverlapGraph, build_overlap_graph, preset_nuscenes
 from .synth import SynthParams, generate_scene, nuscenes_like_cameras
 
 OUTPUT_DIR_ENV = "REDKIT_OUTPUT_DIR"
-_BCS_BINS = 20
 
 
 @dataclass
@@ -83,11 +83,9 @@ class RunConfig:
         }
         if self.command == "prune":
             out["tau"] = self.tau
-            out["pair_taus"] = {
-                f"{a}:{b}": v for (a, b), v in sorted(self.pair_taus.items())
-            }
         if self.command == "sweep":
             out["taus"] = list(self.taus)
+        if self.command in ("prune", "sweep"):
             out["pair_taus"] = {
                 f"{a}:{b}": v for (a, b), v in sorted(self.pair_taus.items())
             }
@@ -139,22 +137,6 @@ def cmd_audit(cfg: RunConfig) -> Path:
     dataset = parse_dataset(cfg.dataset)
     graphs = _build_graphs(dataset, cfg)
     out = _out_dir(cfg)
-    index = _index_dataset(dataset, graphs, cfg.label_source)
-
-    hist = [0] * _BCS_BINS
-    pair_group_counts: dict[str, int] = {}
-    grouped_obs = 0
-    for sid, group, graph in index.groups:
-        cams = {o.camera for o in group.observations}
-        for o in group.observations:
-            grouped_obs += 1
-            hist[min(int(o.bcs * _BCS_BINS), _BCS_BINS - 1)] += 1
-        for pair in graph.pairs:
-            if pair.camera_a in cams and pair.camera_b in cams:
-                key = f"{pair.camera_a}|{pair.camera_b}"
-                pair_group_counts[key] = pair_group_counts.get(key, 0) + 1
-
-    tracks = len(index.track_label_counts)
     report = {
         "config": cfg.echo(),
         "scenes": [
@@ -174,17 +156,7 @@ def cmd_audit(cfg: RunConfig) -> Path:
             }
             for s in dataset.scenes
         ],
-        "label_totals": {
-            "labels": len(index.all_keys),
-            "grouped_observations": grouped_obs,
-            "groups": len(index.groups),
-            "tracks": tracks,
-        },
-        "per_pair_group_counts": dict(sorted(pair_group_counts.items())),
-        "bcs_histogram": {
-            "bin_edges": [i / _BCS_BINS for i in range(_BCS_BINS + 1)],
-            "counts": hist,
-        },
+        **group_stats(dataset, graphs, cfg.label_source),
         "cosine_similarity": _similarity_section(dataset, graphs, cfg),
     }
     return _write_json(out / "audit.json", report)
@@ -303,50 +275,28 @@ def cmd_mm(cfg: RunConfig) -> Path:
             f"{cfg.lidar_set!r} detection set"
         )
 
-    per_frame = []
-    match_index = []
-    for sid, ts, base, lidar in frames:
-        per_frame.append({
+    matches = [match_frame(base, lidar, cfg.theta) for _, _, base, lidar in frames]
+    per_frame = [
+        {
             "scene_id": sid,
             "timestamp_ns": ts,
-            "rr": redundancy_ratio(base, lidar, cfg.theta),
+            "rr": match.rr,
             "n_base": len(base),
             "n_lidar": len(lidar),
-        })
-        # matches and LiDAR distances once per frame; thresholds reuse them
-        distances = [centroid_distance(l) for l in lidar]
-        matches = [
-            [li for li, l in enumerate(lidar) if iou3d(b, l) >= cfg.theta]
-            for b in base
-        ]
-        match_index.append((len(base), len(lidar), distances, matches))
-
-    # aggregate distance sweep: counts pooled over frames, loss micro-averaged
-    agg_rows = []
-    total_base = sum(n_base for n_base, _, _, _ in match_index)
-    for t in cfg.t_dist:
-        if t < 0.0:
-            raise ValidationError(f"t_dist must be nonnegative, got {t}")
-        removed = 0
-        matched = 0
-        for n_base, n_lidar, distances, matches in match_index:
-            surviving = {li for li, d in enumerate(distances) if d >= t}
-            removed += n_lidar - len(surviving)
-            matched += sum(
-                1 for hit in matches if any(li in surviving for li in hit)
-            )
-        agg_rows.append((t, removed, 1.0 - matched / total_base))
+        }
+        for (sid, ts, base, lidar), match in zip(frames, matches)
+    ]
+    rows = pooled_sweep(matches, cfg.t_dist)
+    ttest = _distance_ttest(frames, per_frame, cfg)
 
     csv_lines = ["t_dist,pruned_count,lost_ratio"]
-    csv_lines += [f"{t:.6f},{removed},{lost:.6f}" for t, removed, lost in agg_rows]
+    csv_lines += [f"{r.t_dist:.6f},{r.pruned_count},{r.lost_ratio:.6f}" for r in rows]
     csv_path = out / "mm_sweep.csv"
     csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8", newline="\n")
     if cfg.emit_plot_data:
         (out / "mm_lost_ratio.xy").write_text(
-            "".join(f"{t:.6f} {lost:.6f}\n" for t, _, lost in agg_rows),
+            "".join(f"{r.t_dist:.6f} {r.lost_ratio:.6f}\n" for r in rows),
             encoding="utf-8", newline="\n")
-
-    ttest = _distance_ttest(frames, per_frame, cfg)
     _write_ttest(out / "mm_ttest.txt", ttest)
 
     report = {
@@ -366,7 +316,13 @@ def _distance_ttest(frames, per_frame, cfg: RunConfig) -> dict:
     if cfg.rr_split == "median":
         split = statistics.median(rrs)
     else:
-        split = float(cfg.rr_split)
+        try:
+            split = float(cfg.rr_split)
+        except ValueError:
+            split = math.nan
+        if not math.isfinite(split):
+            raise ValidationError("--rr-split must be 'median' or a finite number, "
+                                  f"got {cfg.rr_split!r}")
     high = []
     low = []
     for (_, _, base, _), info in zip(frames, per_frame):
@@ -554,24 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
+    for f in fields(RunConfig):
+        if hasattr(args, f.name):
+            setattr(cfg, f.name, getattr(args, f.name))
     cfg.output_dir = getattr(args, "out", None)
-    for name in (
-        "dataset", "overlap_mode", "label_source", "min_overlap", "tau",
-        "theta", "rr_split", "base_set", "lidar_set", "images",
-        "emit_plot_data", "seed", "n_cameras", "camera_fov", "n_objects",
-        "n_frames", "radial_range", "size_range", "detection_noise",
-        "drop_rate", "nuscenes_ring",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "taus"):
-        cfg.taus = tuple(args.taus)
-    if hasattr(args, "t_dist"):
-        cfg.t_dist = tuple(args.t_dist)
-    if hasattr(args, "yaw_offsets"):
-        cfg.yaw_offsets = tuple(args.yaw_offsets) if args.yaw_offsets else None
     if hasattr(args, "pair_tau"):
         cfg.pair_taus = {(a, b): v for a, b, v in args.pair_tau}
+    if hasattr(args, "yaw_offsets"):
+        # an empty list means the default even spacing
+        cfg.yaw_offsets = args.yaw_offsets or None
     return cfg
 
 

@@ -218,8 +218,19 @@ def _vec(value: Any, n: int, ctx: str) -> tuple[float, ...]:
         raise ParseError(f"{ctx}: non-numeric vector entry ({exc})") from None
 
 
+def _file_name_part(value: Any, what: str, ctx: str) -> str:
+    """``value`` if it is a string that can only name a file inside the
+    output directory it is joined to: no separators, NUL, ``.`` or ``..``."""
+    if (not isinstance(value, str) or value in ("", ".", "..")
+            or any(ch in value for ch in "/\\\0")):
+        raise ValidationError(
+            f"{ctx}: {what} must be a non-empty string usable as a file name "
+            f"(no '/', '\\', NUL, '.' or '..'), got {value!r}")
+    return value
+
+
 def _parse_camera(obj: Mapping[str, Any], ctx: str) -> CameraModel:
-    name = _ctx_get(obj, "name", ctx)
+    name = _file_name_part(_ctx_get(obj, "name", ctx), "camera name", ctx)
     intr = _ctx_get(obj, "intrinsics", f"{ctx} camera {name!r}")
     extr = _ctx_get(obj, "extrinsics", f"{ctx} camera {name!r}")
     c = f"{ctx} camera {name!r}"
@@ -305,7 +316,7 @@ def _parse_annotation(obj: Mapping[str, Any], camera_names: frozenset[str],
 def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str) -> tuple[Scene, dict[str, int]]:
     if not isinstance(doc, Mapping):
         raise ParseError(f"{ctx}: top level must be an object")
-    scene_id = _ctx_get(doc, "scene_id", ctx)
+    scene_id = _file_name_part(_ctx_get(doc, "scene_id", ctx), "scene_id", ctx)
     ctx = f"{ctx} scene {scene_id!r}"
 
     classes = _ctx_get(doc, "class_map", ctx)

@@ -75,6 +75,50 @@ def match_boxes(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
     )
 
 
+@dataclass(frozen=True)
+class FrameMatch:
+    """One frame's base x LiDAR matches at one IoU threshold.
+
+    ``distances`` holds each LiDAR box's centroid distance. ``reach[i]`` is
+    the largest distance among the LiDAR boxes that match base box ``i``, or
+    ``None`` when none does. Base box ``i`` keeps a match after distance
+    pruning at ``t`` exactly when ``reach[i] >= t``.
+    """
+
+    distances: tuple[float, ...]
+    reach: tuple[float | None, ...]
+
+    @property
+    def rr(self) -> float:
+        """Fraction of baseline boxes with at least one match."""
+        if not self.reach:
+            raise ValueError("redundancy ratio undefined for an empty baseline set")
+        return sum(r is not None for r in self.reach) / len(self.reach)
+
+
+def match_frame(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
+                theta: float) -> FrameMatch:
+    """Match every baseline box against the LiDAR boxes at ``theta``.
+
+    LiDAR boxes are tested farthest first, and each baseline box stops at
+    its first box with IoU >= ``theta``: that box's distance is its reach.
+    """
+    _check_theta(theta)
+    distances = tuple(centroid_distance(l) for l in lidar)
+    # farthest first; NaN distances never survive pruning, so they go last
+    order = sorted(range(len(lidar)),
+                   key=lambda li: (math.isnan(distances[li]), -distances[li]))
+    reach = []
+    for b in base:
+        hit = None
+        for li in order:
+            if iou3d(b, lidar[li]) >= theta:
+                hit = distances[li]
+                break
+        reach.append(hit)
+    return FrameMatch(distances, tuple(reach))
+
+
 def redundancy_ratio(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
                      theta: float) -> float:
     """Fraction of baseline boxes with at least one LiDAR overlap >= theta.
@@ -82,21 +126,12 @@ def redundancy_ratio(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
     Existence counting: one LiDAR box may cover several baseline boxes.
     Undefined (raises) for an empty baseline set.
     """
-    _check_theta(theta)
-    if not base:
-        raise ValueError("redundancy ratio undefined for an empty baseline set")
-    covered = 0
-    for b in base:
-        for l in lidar:
-            if iou3d(b, l) >= theta:
-                covered += 1
-                break
-    return covered / len(base)
+    return match_frame(base, lidar, theta).rr
 
 
 def distance_prune(lidar: Sequence[Box3D], t_dist: float) -> list[Box3D]:
     """Keep the boxes whose centroid distance is at least ``t_dist`` meters."""
-    if t_dist < 0.0:
+    if not t_dist >= 0.0:
         raise ValueError(f"t_dist must be nonnegative, got {t_dist}")
     return [b for b in lidar if centroid_distance(b) >= t_dist]
 
@@ -110,21 +145,33 @@ def lost_ratio(base: Sequence[Cuboid3D], pruned: Sequence[Cuboid3D],
     return 1.0 - redundancy_ratio(base, pruned, theta)
 
 
+def pooled_sweep(matches: Sequence[FrameMatch], thresholds: Sequence[float]
+                 ) -> list[DistanceSweepRow]:
+    """Distance sweep over frames: pruned LiDAR boxes summed, lost ratio
+    micro-averaged (unmatched baseline boxes over all baseline boxes)."""
+    if not thresholds:
+        raise ValueError("sweep needs at least one distance threshold")
+    total = sum(len(m.reach) for m in matches)
+    if total == 0:
+        raise ValueError("lost ratio undefined for an empty baseline set")
+    rows = []
+    for t in thresholds:
+        if not t >= 0.0:
+            raise ValueError(f"t_dist must be nonnegative, got {t}")
+        pruned = 0
+        matched = 0
+        for m in matches:
+            pruned += len(m.distances) - sum(1 for d in m.distances if d >= t)
+            matched += sum(1 for r in m.reach if r is not None and r >= t)
+        rows.append(DistanceSweepRow(t, pruned, 1.0 - matched / total))
+    return rows
+
+
 def sweep_distance(base: Sequence[Cuboid3D], lidar: Sequence[Box3D],
                    theta: float, thresholds: Sequence[float]
                    ) -> list[DistanceSweepRow]:
     """Distance-prune at each threshold and measure the baseline loss."""
-    if not thresholds:
-        raise ValueError("sweep needs at least one distance threshold")
-    rows = []
-    for t in thresholds:
-        pruned = distance_prune(lidar, t)
-        rows.append(DistanceSweepRow(
-            t_dist=t,
-            pruned_count=len(lidar) - len(pruned),
-            lost_ratio=lost_ratio(base, pruned, theta),
-        ))
-    return rows
+    return pooled_sweep([match_frame(base, lidar, theta)], thresholds)
 
 
 # --------------------------------------------------------------------------

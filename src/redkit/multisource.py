@@ -24,6 +24,7 @@ from .overlap import OverlapGraph
 LabelKey = tuple[str, int, str, str]
 
 _RESAMPLE_GRID = 64
+_BCS_BINS = 20
 
 
 @dataclass(frozen=True)
@@ -74,19 +75,29 @@ def form_groups(frame: Frame, cameras: Mapping[str, CameraModel],
     connected components of the overlap graph; every component with at least
     two cameras becomes a group. Singleton observations stay ungrouped.
     """
-    adjacency = graph.adjacency
     groups: list[RedundancyGroup] = []
     for ann in frame.annotations:
-        observations = _observations(ann, cameras, source)
-        if len(observations) < 2:
-            continue
-        for component in _components([o.camera for o in observations], adjacency):
-            if len(component) < 2:
-                continue
-            members = tuple(o for o in observations if o.camera in component)
-            groups.append(RedundancyGroup(frame.timestamp_ns, ann.track_id, members))
+        _, components = _annotation_groups(ann, cameras, graph, source)
+        groups.extend(RedundancyGroup(frame.timestamp_ns, ann.track_id, members)
+                      for members in components)
     groups.sort(key=lambda g: (g.track_id, g.observations[0].camera))
     return groups
+
+
+def _annotation_groups(ann, cameras: Mapping[str, CameraModel],
+                       graph: OverlapGraph, source: str
+                       ) -> tuple[list[Observation], list[tuple[Observation, ...]]]:
+    """One annotation's observations, and the members of each group they
+    form: every overlap-graph component with at least two observing cameras.
+    """
+    observations = _observations(ann, cameras, source)
+    groups = []
+    if len(observations) >= 2:
+        for component in _components([o.camera for o in observations],
+                                     graph.adjacency):
+            if len(component) >= 2:
+                groups.append(tuple(o for o in observations if o.camera in component))
+    return observations, groups
 
 
 def _observations(ann, cameras: Mapping[str, CameraModel], source: str
@@ -143,7 +154,7 @@ def prune_group(group: RedundancyGroup, tau: float) -> PruneDecision:
     resolve to the lexicographically first camera, though every tied
     observation is kept anyway since its gap is zero).
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     anchor = max(o.bcs for o in group.observations)
     kept = []
@@ -190,7 +201,8 @@ def _index_dataset(dataset: Dataset,
         for frame in scene.frames:
             ts = frame.timestamp_ns
             for ann in frame.annotations:
-                observations = _observations(ann, cameras, source)
+                observations, components = _annotation_groups(
+                    ann, cameras, scene_graph, source)
                 if not observations:
                     continue
                 track_key = (sid, ann.track_id)
@@ -199,16 +211,9 @@ def _index_dataset(dataset: Dataset,
                 )
                 for o in observations:
                     all_keys.append((sid, ts, o.camera, ann.track_id))
-                if len(observations) < 2:
-                    continue
-                for component in _components(
-                        [o.camera for o in observations], scene_graph.adjacency):
-                    if len(component) < 2:
-                        continue
-                    members = tuple(
-                        o for o in observations if o.camera in component)
-                    groups.append((sid, RedundancyGroup(ts, ann.track_id, members),
-                                   scene_graph))
+                groups.extend(
+                    (sid, RedundancyGroup(ts, ann.track_id, members), scene_graph)
+                    for members in components)
     return _DatasetIndex(all_keys, groups, track_label_counts)
 
 
@@ -218,7 +223,11 @@ def _normalize_pair_taus(pair_taus: Mapping | None) -> dict[frozenset[str], floa
         key = frozenset(pair)
         if len(key) != 2:
             raise ValueError(f"pair override key must name two cameras, got {pair!r}")
-        out[key] = float(value)
+        value = float(value)
+        if not value >= 0.0:
+            raise ValueError(f"pair override for {pair!r} must be nonnegative, "
+                             f"got {value}")
+        out[key] = value
     return out
 
 
@@ -285,7 +294,7 @@ def prune_dataset(dataset: Dataset,
         The kept label keys ``(scene_id, timestamp_ns, camera, track_id)``
         and the count row for this threshold.
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     overrides = _normalize_pair_taus(pair_taus)
     index = _index_dataset(dataset, graph, source)
@@ -306,7 +315,7 @@ def sweep_tau(dataset: Dataset,
     """
     if not taus:
         raise ValueError("sweep needs at least one tau")
-    if any(t < 0.0 for t in taus):
+    if any(not t >= 0.0 for t in taus):
         raise ValueError("every tau must be nonnegative")
     overrides = _normalize_pair_taus(pair_taus)
     index = _index_dataset(dataset, graph, source)
@@ -314,6 +323,44 @@ def sweep_tau(dataset: Dataset,
         _row_for(index, tau, _removed_keys(index, tau, overrides))
         for tau in taus
     ]
+
+
+def group_stats(dataset: Dataset,
+                graph: OverlapGraph | Mapping[str, OverlapGraph],
+                source: str = "native-2d") -> dict:
+    """The group sections of an audit report: label totals, per-pair group
+    counts and the BCS histogram of the grouped observations.
+
+    A pair's count is the number of groups that contain both its cameras,
+    keyed ``"camera_a|camera_b"``. The histogram has ``_BCS_BINS`` equal
+    bins; a score of exactly 1 falls in the last bin.
+    """
+    index = _index_dataset(dataset, graph, source)
+    hist = [0] * _BCS_BINS
+    pair_group_counts: dict[str, int] = {}
+    grouped_obs = 0
+    for _, group, scene_graph in index.groups:
+        cams = {o.camera for o in group.observations}
+        for o in group.observations:
+            grouped_obs += 1
+            hist[min(int(o.bcs * _BCS_BINS), _BCS_BINS - 1)] += 1
+        for pair in scene_graph.pairs:
+            if pair.camera_a in cams and pair.camera_b in cams:
+                key = f"{pair.camera_a}|{pair.camera_b}"
+                pair_group_counts[key] = pair_group_counts.get(key, 0) + 1
+    return {
+        "label_totals": {
+            "labels": len(index.all_keys),
+            "grouped_observations": grouped_obs,
+            "groups": len(index.groups),
+            "tracks": len(index.track_label_counts),
+        },
+        "per_pair_group_counts": dict(sorted(pair_group_counts.items())),
+        "bcs_histogram": {
+            "bin_edges": [i / _BCS_BINS for i in range(_BCS_BINS + 1)],
+            "counts": hist,
+        },
+    }
 
 
 # --------------------------------------------------------------------------

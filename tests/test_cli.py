@@ -1,20 +1,26 @@
 """Command-line surface: subcommands, report files, exit codes, determinism."""
 
+import ast
+import dataclasses
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import redkit.cli
 from conftest import box_with_bcs, dataset_of, scene_with_boxes
 from redkit.cli import main
-from redkit.geometry import Box2D, Box3D
-from redkit.ingest import Frame, Scene, write_dataset
+from redkit.geometry import Box2D, Box3D, centroid_distance
+from redkit.ingest import Frame, Scene, parse_dataset, write_dataset
+from redkit.multimodal import distance_prune
 from redkit.overlap import preset_nuscenes
 from redkit.synth import (
     SynthParams,
     brute_force_prune,
+    brute_force_rr,
     camera_at_yaw,
     generate_scene,
     nuscenes_like_cameras,
@@ -326,7 +332,108 @@ def test_mm_rejects_negative_threshold(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize("args", [
+    ["--t-dist", "nan,5"],
+    ["--t-dist", ""],
+    ["--rr-split", "nan"],
+    ["--rr-split", "inf"],
+    ["--rr-split", "high"],
+])
+def test_mm_rejects_nan_or_empty_settings(tmp_path, capsys, args):
+    data_dir = known_distance_dataset(tmp_path)
+    out = tmp_path / "x"
+    assert run_cli("mm", "--dataset", data_dir, "--out", out, *args) == 1
+    assert capsys.readouterr().err != ""
+    assert not (out / "mm_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["prune", "--tau", "nan"],
+    ["sweep", "--taus", "nan,0.2"],
+    ["prune", "--tau", "0.3", "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=nan"],
+    ["sweep", "--taus", "0.3", "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=nan"],
+    ["sweep", "--taus", ""],
+])
+def test_prune_and_sweep_reject_nan_or_empty_thresholds(tmp_path, capsys, args):
+    data_dir = known_gap_dataset(tmp_path)
+    command, *rest = args
+    assert run_cli(command, "--dataset", data_dir, "--out", tmp_path / "x",
+                   *rest) == 1
+    assert capsys.readouterr().err != ""
+
+
+def with_tied_lidar_box(frame):
+    """The frame plus a LiDAR box mirrored across the ego x axis: a second
+    box at exactly the distance of the first."""
+    lidar = frame.detection_sets["lidar_only"]
+    first = lidar[0]
+    x, y, z = first.center
+    twin = Box3D((x, -y, z), first.size, -first.yaw, score=first.score)
+    sets = dict(frame.detection_sets, lidar_only=lidar + (twin,))
+    return dataclasses.replace(frame, detection_sets=sets)
+
+
+def test_mm_sweep_pools_frames_like_the_reference(tmp_path):
+    ds, _ = generate_scene(
+        SynthParams(seed=41, n_objects=12, n_frames=4, drop_rate=0.3,
+                    detection_noise=0.2, radial_range=(4.0, 30.0)),
+        cameras=nuscenes_like_cameras(),
+    )
+    scene = ds.scenes[0]
+    frames = (with_tied_lidar_box(scene.frames[0]),) + scene.frames[1:]
+    data_dir = tmp_path / "data"
+    write_dataset(dataclasses.replace(
+        ds, scenes=(dataclasses.replace(scene, frames=frames),)), data_dir)
+    frames = parse_dataset(data_dir).scenes[0].frames
+    sets = [(f.detection_sets["fusion_baseline"], f.detection_sets["lidar_only"])
+            for f in frames]
+    tied = centroid_distance(sets[0][1][0])
+    assert centroid_distance(sets[0][1][-1]) == tied
+    # a threshold exactly at the tied distance and at a box of another frame
+    thresholds = [0.0, 6.0, tied, centroid_distance(sets[2][1][1]), 18.5, 1e6]
+
+    out = tmp_path / "mm"
+    assert run_cli("mm", "--dataset", data_dir, "--out", out, "--theta", "0.3",
+                   "--t-dist", ",".join(repr(t) for t in thresholds)) == 0
+
+    total = sum(len(base) for base, _ in sets)
+    want = ["t_dist,pruned_count,lost_ratio"]
+    for t in thresholds:
+        pruned = 0
+        matched = 0
+        for base, lidar in sets:
+            kept = distance_prune(lidar, t)
+            pruned += len(lidar) - len(kept)
+            matched += round(brute_force_rr(base, kept, 0.3) * len(base))
+        want.append(f"{t:.6f},{pruned},{1.0 - matched / total:.6f}")
+    assert (out / "mm_sweep.csv").read_text() == "\n".join(want) + "\n"
+
+
 # ------------------------------------------------------------- infrastructure
+
+
+def test_cli_imports_no_private_names_or_iou3d():
+    tree = ast.parse(Path(redkit.cli.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("redkit")):
+            for alias in node.names:
+                assert not alias.name.startswith("_"), alias.name
+                assert alias.name != "iou3d"
+
+
+def test_unsafe_scene_id_writes_nothing_outside_out(tmp_path, capsys):
+    data_dir = known_gap_dataset(tmp_path)
+    path = next(data_dir.glob("*.json"))
+    doc = json.loads(path.read_text())
+    doc["scene_id"] = "../../evil"
+    path.write_text(json.dumps(doc))
+    before = set(tmp_path.rglob("*"))
+    out = tmp_path / "run" / "out"
+    assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", "0.3") == 1
+    assert "scene_id" in capsys.readouterr().err
+    assert all(out in p.parents or p == out
+               for p in set(tmp_path.rglob("*")) - before - {out.parent})
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

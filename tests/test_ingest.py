@@ -149,6 +149,19 @@ def test_annotation_needs_some_geometry(tmp_path, minimal_scene_dict):
         parse_dataset(write_scene(tmp_path, doc))
 
 
+@pytest.mark.parametrize("field", ["scene_id", "camera name"])
+@pytest.mark.parametrize("name", ["../evil", "..", ".", "", "a/b", "a\\b", "a\0b", 5, None])
+def test_names_that_form_file_names_must_be_safe(tmp_path, minimal_scene_dict,
+                                                 field, name):
+    doc = copy.deepcopy(minimal_scene_dict)
+    if field == "scene_id":
+        doc["scene_id"] = name
+    else:
+        doc["cameras"][1]["name"] = name
+    with pytest.raises(ValidationError, match=field):
+        parse_dataset(write_scene(tmp_path, doc))
+
+
 def test_malformed_json_is_a_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"scene_id": "x", ')

@@ -11,11 +11,13 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from redkit.geometry import Box3D, Cuboid3D
+from redkit.geometry import Box3D, Cuboid3D, centroid_distance
 from redkit.multimodal import (
     distance_prune,
     lost_ratio,
     match_boxes,
+    match_frame,
+    pooled_sweep,
     redundancy_ratio,
     sweep_distance,
     welch_t_test,
@@ -200,6 +202,50 @@ def test_sweep_distance_known_counts():
     rows = sweep_distance(base, lidar, theta=0.5, thresholds=[0.0, 5.0, 10.0])
     assert [r.pruned_count for r in rows] == [0, 1, 2]
     assert [r.lost_ratio for r in rows] == pytest.approx([0.0, 1 / 3, 2 / 3], abs=1e-12)
+
+
+def test_sweep_rejects_nan_and_empty_thresholds():
+    base = [cube(2.0)]
+    lidar = [scored(2.0)]
+    for thresholds in ([], [0.0, math.nan], [-1.0]):
+        with pytest.raises(ValueError):
+            sweep_distance(base, lidar, theta=0.5, thresholds=thresholds)
+    with pytest.raises(ValueError):
+        distance_prune(lidar, math.nan)
+
+
+def reach_lost(match, t):
+    kept = sum(1 for r in match.reach if r is not None and r >= t)
+    return 1.0 - kept / len(match.reach)
+
+
+def test_reach_gives_lost_ratio_of_distance_pruned_set():
+    ds, _ = generate_scene(
+        SynthParams(seed=23, n_objects=14, n_frames=3, drop_rate=0.3, detection_noise=0.2)
+    )
+    for frame in ds.scenes[0].frames:
+        base = frame.detection_sets["fusion_baseline"]
+        lidar = frame.detection_sets["lidar_only"]
+        match = match_frame(base, lidar, theta=0.3)
+        assert match.distances == tuple(centroid_distance(l) for l in lidar)
+        assert match.rr == redundancy_ratio(base, lidar, theta=0.3)
+        # every LiDAR distance is a threshold, so boxes sit exactly on one
+        for t in [0.0, 1e9] + sorted(match.distances):
+            want = lost_ratio(base, distance_prune(lidar, t), theta=0.3)
+            assert reach_lost(match, t) == want
+            assert pooled_sweep([match], [t])[0].lost_ratio == want
+
+
+def test_reach_is_farthest_match_despite_nan_distances():
+    # the long base box matches the LiDAR boxes at 2 and 12 m; a box with a
+    # NaN centre must not disturb the farthest-first order
+    base = [cube(7.0, size=(11.0, 1.0, 1.0))]
+    lidar = [scored(2.0), scored(math.nan), scored(12.0), scored(30.0)]
+    match = match_frame(base, lidar, theta=0.05)
+    assert match.reach == (12.0,)
+    for t in (0.0, 10.0, 12.0, 13.0):
+        assert reach_lost(match, t) == lost_ratio(
+            base, distance_prune(lidar, t), theta=0.05)
 
 
 # ------------------------------------------------------------------ t-test

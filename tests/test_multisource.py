@@ -12,12 +12,13 @@ from redkit.multisource import (
     cosine_similarity,
     crop_overlap,
     form_groups,
+    group_stats,
     prune_dataset,
     prune_group,
     sweep_tau,
 )
 from redkit.overlap import preset_nuscenes
-from redkit.synth import camera_at_yaw, nuscenes_like_cameras
+from redkit.synth import SynthParams, camera_at_yaw, generate_scene, nuscenes_like_cameras
 
 GRAPH = preset_nuscenes()
 RING = {cam.name: cam for cam in nuscenes_like_cameras()}
@@ -229,6 +230,21 @@ def test_pair_tau_order_does_not_matter():
     assert a == b
 
 
+def test_nan_thresholds_rejected():
+    ds = two_group_dataset()
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        prune_group(group_of([0.9, 0.6]), nan)
+    with pytest.raises(ValueError):
+        prune_dataset(ds, GRAPH, nan)
+    with pytest.raises(ValueError):
+        sweep_tau(ds, GRAPH, [0.2, nan])
+    for bad in (nan, -0.1):
+        with pytest.raises(ValueError):
+            prune_dataset(ds, GRAPH, 0.5,
+                          pair_taus={("CAM_FRONT", "CAM_FRONT_RIGHT"): bad})
+
+
 def all_keys(ds):
     return {
         (scene.scene_id, frame.timestamp_ns, cam, ann.track_id)
@@ -280,6 +296,27 @@ def test_sweep_matches_individual_prunes():
     for tau, row in zip([0.0, 0.35, 0.9], sweep_tau(ds, GRAPH, [0.0, 0.35, 0.9])):
         _, single = prune_dataset(ds, GRAPH, tau)
         assert row == single
+
+
+def test_group_stats_agree_with_groups_and_prune_counts():
+    ds, _ = generate_scene(SynthParams(seed=29, n_objects=16, n_frames=3),
+                           cameras=nuscenes_like_cameras())
+    scene = ds.scenes[0]
+    stats = group_stats(ds, GRAPH)
+    totals = stats["label_totals"]
+    counts = stats["bcs_histogram"]["counts"]
+    groups = [g for f in scene.frames for g in form_groups(f, scene.camera_map, GRAPH)]
+    _, row = prune_dataset(ds, GRAPH, 1.0)
+    assert totals["groups"] == len(groups) > 0
+    assert totals["grouped_observations"] == sum(len(g.observations) for g in groups)
+    assert sum(counts) == totals["grouped_observations"]
+    assert len(counts) == len(stats["bcs_histogram"]["bin_edges"]) - 1
+    assert (totals["labels"], totals["tracks"]) == (row.remaining, row.tracks)
+    edges = sum(
+        1 for g in groups for p in GRAPH.pairs
+        if {p.camera_a, p.camera_b} <= {o.camera for o in g.observations}
+    )
+    assert sum(stats["per_pair_group_counts"].values()) == edges
 
 
 # ------------------------------------------------------------ crop prescreen

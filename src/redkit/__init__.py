@@ -44,6 +44,7 @@ from .multimodal import (
     FrameMatch,
     Matching,
     distance_prune,
+    distance_ttest,
     lost_ratio,
     match_boxes,
     match_frame,
@@ -127,6 +128,7 @@ __all__ = [
     "crop_overlap",
     "cuboid_corners",
     "distance_prune",
+    "distance_ttest",
     "emit_labels",
     "form_groups",
     "generate_scene",

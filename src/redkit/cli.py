@@ -9,15 +9,14 @@ runs on identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
-import statistics
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
-from .geometry import centroid_distance
 from .ingest import (
     Dataset,
     ParseError,
@@ -27,7 +26,7 @@ from .ingest import (
     parse_pgm,
     write_dataset,
 )
-from .multimodal import match_frame, pooled_sweep, welch_t_test
+from .multimodal import distance_ttest, match_frame, pooled_sweep
 from .multisource import (
     cosine_similarity,
     crop_overlap,
@@ -287,7 +286,8 @@ def cmd_mm(cfg: RunConfig) -> Path:
         for (sid, ts, base, lidar), match in zip(frames, matches)
     ]
     rows = pooled_sweep(matches, cfg.t_dist)
-    ttest = _distance_ttest(frames, per_frame, cfg)
+    ttest = distance_ttest([base for _, _, base, _ in frames],
+                           [m.rr for m in matches], _rr_split(cfg.rr_split))
 
     csv_lines = ["t_dist,pruned_count,lost_ratio"]
     csv_lines += [f"{r.t_dist:.6f},{r.pruned_count},{r.lost_ratio:.6f}" for r in rows]
@@ -311,43 +311,18 @@ def cmd_mm(cfg: RunConfig) -> Path:
     return csv_path
 
 
-def _distance_ttest(frames, per_frame, cfg: RunConfig) -> dict:
-    rrs = [f["rr"] for f in per_frame]
-    if cfg.rr_split == "median":
-        split = statistics.median(rrs)
-    else:
-        try:
-            split = float(cfg.rr_split)
-        except ValueError:
-            split = math.nan
-        if not math.isfinite(split):
-            raise ValidationError("--rr-split must be 'median' or a finite number, "
-                                  f"got {cfg.rr_split!r}")
-    high = []
-    low = []
-    for (_, _, base, _), info in zip(frames, per_frame):
-        target = high if info["rr"] >= split else low
-        target.extend(centroid_distance(b) for b in base)
-    result: dict = {
-        "split": split,
-        "split_rule": cfg.rr_split if cfg.rr_split == "median" else "value",
-        "n_high": len(high),
-        "n_low": len(low),
-    }
-    if len(high) < 2 or len(low) < 2:
-        result["status"] = "skipped"
-        result["reason"] = "a redundancy group has fewer than two distances"
-        return result
-    result["mean_high"] = sum(high) / len(high)
-    result["mean_low"] = sum(low) / len(low)
+def _rr_split(text: str) -> float | None:
+    """``--rr-split`` as a number, or ``None`` for the median."""
+    if text == "median":
+        return None
     try:
-        t, df, p = welch_t_test(high, low)
-    except ValueError as exc:
-        result["status"] = "skipped"
-        result["reason"] = str(exc)
-        return result
-    result.update(status="ok", t=t, df=df, p=p)
-    return result
+        split = float(text)
+    except ValueError:
+        split = math.nan
+    if not math.isfinite(split):
+        raise ValidationError("--rr-split must be 'median' or a finite number, "
+                              f"got {text!r}")
+    return split
 
 
 def _write_ttest(path: Path, ttest: dict) -> None:
@@ -544,11 +519,22 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg.output_dir = env_out
         else:
             cfg.output_dir = str(Path(env_out) / cfg.output_dir)
+    # A command builds millions of acyclic objects (decoded JSON, parsed
+    # scenes, the grouping index). The cyclic collector would walk them again
+    # and again and free nothing: on the 10,000-frame scene of acceptance
+    # criterion 10 that was about 40% of the parsing time. Reference counting
+    # still frees everything, and the collector runs again once the command
+    # returns.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         _COMMANDS[cfg.command](cfg)
     except (ParseError, ValidationError, ValueError, RuntimeError, OSError) as exc:
         print(f"redkit {cfg.command}: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return 0
 
 

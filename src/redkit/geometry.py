@@ -118,8 +118,9 @@ class Cuboid3D:
     yaw: float
 
     def __post_init__(self) -> None:
-        if any(s <= 0.0 for s in self.size):
-            raise ValueError(f"cuboid size must be positive, got {self.size}")
+        for s in self.size:
+            if s <= 0.0:
+                raise ValueError(f"cuboid size must be positive, got {self.size}")
 
 
 @dataclass(frozen=True)

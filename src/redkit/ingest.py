@@ -213,9 +213,20 @@ def _vec(value: Any, n: int, ctx: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ParseError(f"{ctx}: expected a {n}-vector, got {value!r}")
     try:
-        return tuple(float(v) for v in value)
+        vec = tuple(map(float, value))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{ctx}: non-numeric vector entry ({exc})") from None
+    if not all(map(math.isfinite, vec)):
+        raise ValidationError(f"{ctx}: vector entries must be finite, got {value!r}")
+    return vec
+
+
+def _finite(value: Any, what: str, ctx: str) -> float:
+    """``value`` as a float; NaN and infinities are rejected."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValidationError(f"{ctx}: {what} must be finite, got {value!r}")
+    return number
 
 
 def _file_name_part(value: Any, what: str, ctx: str) -> str:
@@ -257,7 +268,7 @@ def _parse_cuboid(obj: Mapping[str, Any], ctx: str) -> Cuboid3D:
         return Cuboid3D(
             center=_vec(_ctx_get(obj, "center", ctx), 3, ctx),
             size=_vec(_ctx_get(obj, "size", ctx), 3, ctx),
-            yaw=float(_ctx_get(obj, "yaw", ctx)),
+            yaw=_finite(_ctx_get(obj, "yaw", ctx), "yaw", ctx),
         )
     except ValueError as exc:
         if isinstance(exc, (ParseError, ValidationError)):
@@ -270,8 +281,8 @@ def _parse_detection(obj: Mapping[str, Any], ctx: str) -> Box3D:
         return Box3D(
             center=_vec(_ctx_get(obj, "center", ctx), 3, ctx),
             size=_vec(_ctx_get(obj, "size", ctx), 3, ctx),
-            yaw=float(_ctx_get(obj, "yaw", ctx)),
-            score=float(_ctx_get(obj, "score", ctx)),
+            yaw=_finite(_ctx_get(obj, "yaw", ctx), "yaw", ctx),
+            score=_finite(_ctx_get(obj, "score", ctx), "score", ctx),
         )
     except ValueError as exc:
         if isinstance(exc, (ParseError, ValidationError)):
@@ -571,9 +582,11 @@ def emit_labels(dataset: Dataset, kept: set[tuple[str, int, str, str]],
                     lines.append(_format_label(
                         dataset.class_map[ann.category], resolved[1], cam))
                 target = out / f"{scene.scene_id}__{frame.timestamp_ns}__{cam.name}.txt"
-                with open(target, "w", encoding="utf-8", newline="\n") as fh:
+                # binary mode: the lines are ASCII with LF endings already,
+                # and a text wrapper per file costs more than formatting them
+                with open(target, "wb") as fh:
                     if lines:
-                        fh.write("\n".join(lines) + "\n")
+                        fh.write(("\n".join(lines) + "\n").encode("ascii"))
                 written.append(target)
     return written
 

@@ -6,11 +6,17 @@ the redundant fraction of the baseline set. Distance pruning drops LiDAR
 boxes closer than a threshold; the lost ratio then measures how much of the
 baseline loses its match. A Welch t-test compares ego distances between
 high- and low-redundancy groups.
+
+Before the exact 3D-IoU clip, each pair is screened by ground-plane
+bounding circles: two footprints whose circumscribed circles are apart
+cannot overlap, so their IoU is 0 and the clip is skipped. ``iou3d`` stays
+the only IoU kernel.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +50,46 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
 
 
+# Relative widening of each bounding circle. The exact clip works on
+# footprint corners rounded to within a few ulps of the box's own size and
+# of its centre coordinates, so the circle grows with both: a margin that
+# scaled with the radii alone would be thinner than the rounding of corners
+# around 1e8 m, where the clip can still return a tiny positive IoU. A few
+# ulps (about 1e-15) would do; 1e-9 leaves a wide safety factor and still
+# screens out all but touching pairs.
+_CIRCLE_SLACK = 1e-9
+
+
+def _bounding_circles(boxes: Sequence[Cuboid3D]
+                      ) -> list[tuple[float, float, float]]:
+    """``(x, y, r)`` per box: a ground-plane circle holding its footprint,
+    widened by rounding slack."""
+    circles = []
+    for b in boxes:
+        x, y = b.center[0], b.center[1]
+        r = 0.5 * math.hypot(b.size[0], b.size[1])
+        circles.append((x, y, r + _CIRCLE_SLACK * (r + abs(x) + abs(y))))
+    return circles
+
+
+def _may_touch(circle: tuple[float, float, float],
+               circles: Sequence[tuple[float, float, float]]) -> list[int]:
+    """Indices of ``circles`` not provably apart from ``circle``.
+
+    Every other pair has IoU exactly 0. A comparison involving NaN is not
+    a proof, so such pairs are kept for the exact clip.
+    """
+    x, y, r = circle
+    near = []
+    for i, (cx, cy, cr) in enumerate(circles):
+        dx = x - cx
+        dy = y - cy
+        s = r + cr
+        if not dx * dx + dy * dy > s * s:
+            near.append(i)
+    return near
+
+
 def match_boxes(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
                 theta: float) -> Matching:
     """Greedily match detections across modalities.
@@ -52,10 +98,11 @@ def match_boxes(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
     used at most once. Deterministic for equal IoUs via index order.
     """
     _check_theta(theta)
+    lidar_circles = _bounding_circles(lidar)
     candidates = []
-    for bi, b in enumerate(base):
-        for li, l in enumerate(lidar):
-            overlap = iou3d(b, l)
+    for bi, (b, circle) in enumerate(zip(base, _bounding_circles(base))):
+        for li in _may_touch(circle, lidar_circles):
+            overlap = iou3d(b, lidar[li])
             if overlap >= theta:
                 candidates.append((-overlap, bi, li))
     candidates.sort()
@@ -108,10 +155,12 @@ def match_frame(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
     # farthest first; NaN distances never survive pruning, so they go last
     order = sorted(range(len(lidar)),
                    key=lambda li: (math.isnan(distances[li]), -distances[li]))
+    ordered_circles = _bounding_circles([lidar[li] for li in order])
     reach = []
-    for b in base:
+    for b, circle in zip(base, _bounding_circles(base)):
         hit = None
-        for li in order:
+        for k in _may_touch(circle, ordered_circles):
+            li = order[k]
             if iou3d(b, lidar[li]) >= theta:
                 hit = distances[li]
                 break
@@ -270,3 +319,48 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]
     t = (mean_a - mean_b) / math.sqrt(se2)
     df = se2 * se2 / (sa * sa / (na - 1) + sb * sb / (nb - 1))
     return t, df, _student_t_two_sided_p(t, df)
+
+
+def distance_ttest(bases: Sequence[Sequence[Cuboid3D]], rrs: Sequence[float],
+                   split: float | None = None) -> dict:
+    """Welch t-test of baseline ego distances, high- against low-redundancy
+    frames.
+
+    ``bases[i]`` holds frame ``i``'s baseline boxes and ``rrs[i]`` its
+    redundancy ratio. Frames with ``rr >= split`` are high, the rest low;
+    ``split`` defaults to the median ratio. The result records the split and
+    group sizes, and either the means and ``t``, ``df``, ``p`` (status
+    ``ok``) or why the test was skipped.
+    """
+    if split is None:
+        split_rule = "median"
+        split = statistics.median(rrs)
+    else:
+        split_rule = "value"
+        if not math.isfinite(split):
+            raise ValueError(f"rr split must be finite, got {split}")
+    high: list[float] = []
+    low: list[float] = []
+    for base, rr in zip(bases, rrs, strict=True):
+        target = high if rr >= split else low
+        target.extend(centroid_distance(b) for b in base)
+    result: dict = {
+        "split": split,
+        "split_rule": split_rule,
+        "n_high": len(high),
+        "n_low": len(low),
+    }
+    if len(high) < 2 or len(low) < 2:
+        result["status"] = "skipped"
+        result["reason"] = "a redundancy group has fewer than two distances"
+        return result
+    result["mean_high"] = sum(high) / len(high)
+    result["mean_low"] = sum(low) / len(low)
+    try:
+        t, df, p = welch_t_test(high, low)
+    except ValueError as exc:
+        result["status"] = "skipped"
+        result["reason"] = str(exc)
+        return result
+    result.update(status="ok", t=t, df=df, p=p)
+    return result

@@ -2,7 +2,10 @@
 
 import ast
 import dataclasses
+import gc
 import json
+import math
+import os
 import shutil
 import subprocess
 import sys
@@ -178,6 +181,23 @@ def test_audit_histogram_covers_all_grouped_boxes(ring_dataset, tmp_path):
 # --------------------------------------------------------------------- prune
 
 
+def test_main_restores_the_garbage_collector(ring_dataset, tmp_path):
+    data_dir, _ = ring_dataset
+    missing = tmp_path / "missing"
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert run_cli("prune", "--dataset", data_dir,
+                           "--out", tmp_path / "prune", "--tau", 0.3) == 0
+            assert gc.isenabled() is enabled
+            assert run_cli("prune", "--dataset", missing,
+                           "--out", tmp_path / "x", "--tau", 0.3) == 1
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def test_prune_tau_one_keeps_every_label(ring_dataset, tmp_path):
     data_dir, ds = ring_dataset
     out = tmp_path / "prune"
@@ -347,6 +367,62 @@ def test_mm_rejects_nan_or_empty_settings(tmp_path, capsys, args):
     assert not (out / "mm_sweep.csv").exists()
 
 
+def edit_scene_file(data_dir, edit):
+    """Rewrite the dataset's scene file after ``edit`` changed its JSON."""
+    path = next(data_dir.glob("*.json"))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field,index,value", [
+    ("center", 0, math.nan),
+    ("center", 1, math.inf),
+    ("size", 2, math.nan),
+    ("yaw", None, -math.inf),
+    ("score", None, math.nan),
+])
+def test_mm_rejects_non_finite_detections(tmp_path, capsys, field, index, value):
+    # a NaN LiDAR centre used to count as pruned even at --t-dist 0
+    data_dir = known_distance_dataset(tmp_path)
+
+    def edit(doc):
+        box = doc["frames"][0]["detection_sets"]["lidar_only"][0]
+        if index is None:
+            box[field] = value
+        else:
+            box[field][index] = value
+
+    edit_scene_file(data_dir, edit)
+    out = tmp_path / "x"
+    assert run_cli("mm", "--dataset", data_dir, "--out", out, "--t-dist", "0") == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,index,value", [
+    ("size", 0, math.nan),
+    ("center", 2, math.inf),
+    ("yaw", None, math.nan),
+])
+def test_prune_rejects_non_finite_cuboids(tmp_path, capsys, ring_dataset,
+                                          field, index, value):
+    data_dir, _ = ring_dataset
+
+    def edit(doc):
+        cuboid = doc["frames"][0]["annotations"][0]["cuboid"]
+        if index is None:
+            cuboid[field] = value
+        else:
+            cuboid[field][index] = value
+
+    edit_scene_file(data_dir, edit)
+    out = tmp_path / "x"
+    assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", "0.3") == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["prune", "--tau", "nan"],
     ["sweep", "--taus", "nan,0.2"],
@@ -466,9 +542,12 @@ def test_console_script_is_installed():
 
 
 def test_module_invocation():
+    # the child finds redkit where this process did, with or without PYTHONPATH
+    src = str(Path(redkit.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "redkit.cli", "sweep", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "--taus" in proc.stdout

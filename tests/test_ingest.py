@@ -305,6 +305,21 @@ def test_parse_detection_set_rejects_bad_size(tmp_path):
         parse_detection_set(detection_file(tmp_path, doc))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("center", [0.0, math.nan, 0.0]),
+    ("size", [4.0, math.inf, 1.5]),
+    ("yaw", -math.inf),
+    ("score", math.nan),
+])
+def test_parse_detection_set_rejects_non_finite_numbers(tmp_path, field, value):
+    record = {"center": [0, 0, 0], "size": [4.0, 2.0, 1.5], "yaw": 0.0, "score": 0.5}
+    record[field] = value
+    # json writes and reads the bare NaN and Infinity tokens
+    doc = json.dumps([record])
+    with pytest.raises(ValidationError, match="must be finite"):
+        parse_detection_set(detection_file(tmp_path, doc))
+
+
 def test_parse_detection_set_empty_is_valid(tmp_path):
     assert parse_detection_set(detection_file(tmp_path, "[]")) == ()
 

@@ -8,12 +8,14 @@ import math
 
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redkit.geometry import Box3D, Cuboid3D, centroid_distance
+import redkit.multimodal
+from redkit.geometry import Box3D, Cuboid3D, centroid_distance, iou3d
 from redkit.multimodal import (
     distance_prune,
+    distance_ttest,
     lost_ratio,
     match_boxes,
     match_frame,
@@ -22,7 +24,7 @@ from redkit.multimodal import (
     sweep_distance,
     welch_t_test,
 )
-from redkit.synth import SynthParams, generate_scene
+from redkit.synth import SynthParams, brute_force_rr, generate_scene
 
 
 def cube(x, y=0.0, z=0.0, size=(1.0, 1.0, 1.0)):
@@ -248,6 +250,156 @@ def test_reach_is_farthest_match_despite_nan_distances():
             base, distance_prune(lidar, t), theta=0.05)
 
 
+# ------------------------------------------------ bounding-circle screen
+
+
+def plain_reach(base, lidar, theta):
+    """Reach per base box from an unscreened farthest-first loop."""
+    dist = [centroid_distance(l) for l in lidar]
+    order = sorted(range(len(lidar)), key=lambda i: (math.isnan(dist[i]), -dist[i]))
+    return tuple(
+        next((dist[i] for i in order if iou3d(b, lidar[i]) >= theta), None)
+        for b in base
+    )
+
+
+def plain_pairs(base, lidar, theta):
+    """Greedy best-first assignment over every pair, unscreened."""
+    scored_pairs = sorted(
+        (-iou3d(b, l), bi, li)
+        for bi, b in enumerate(base) for li, l in enumerate(lidar)
+        if iou3d(b, l) >= theta
+    )
+    used_base, used_lidar, pairs = set(), set(), []
+    for neg, bi, li in scored_pairs:
+        if bi not in used_base and li not in used_lidar:
+            used_base.add(bi)
+            used_lidar.add(li)
+            pairs.append((bi, li, -neg))
+    return tuple(pairs)
+
+
+def check_screen(base, lidar, theta):
+    match = match_frame(base, lidar, theta)
+    assert match.reach == plain_reach(base, lidar, theta)
+    assert match.rr == brute_force_rr(base, lidar, theta)
+    assert match_boxes(base, lidar, theta).pairs == plain_pairs(base, lidar, theta)
+
+
+@st.composite
+def near_pairs(draw):
+    """Two boxes whose footprints touch at a corner or an edge, nearly touch
+    or just overlap (gaps down to the rounding of their coordinates),
+    coincide, or lie at random nearby; centres 0 or 1e6 to 1e8 m out."""
+    sizes = st.floats(0.05, 5.0)
+    angles = st.floats(-math.pi, math.pi)
+    offset = draw(st.one_of(st.just(0.0), st.floats(1e6, 1e8)))
+    bearing = draw(angles)
+    ax, ay = offset * math.cos(bearing), offset * math.sin(bearing)
+    la, wa, lb, wb, h = (draw(sizes) for _ in range(5))
+    phi = draw(angles)  # direction from the first centre to the second
+    ulps = draw(st.floats(-16.0, 16.0)) * 2.3e-16 * (offset + 10.0)
+    gap = draw(st.one_of(st.just(ulps), st.floats(-1e-3, 1e-3)))
+    kind = draw(st.sampled_from(["corner", "edge", "same", "loose"]))
+    shift = 0.0
+    if kind == "corner":
+        # both diagonals on the centre line, corners facing each other
+        ya = phi - math.atan2(wa, la)
+        yb = phi + math.pi - math.atan2(wb, lb)
+        d = 0.5 * math.hypot(la, wa) + 0.5 * math.hypot(lb, wb) + gap
+    elif kind == "edge":
+        ya = yb = phi
+        d = 0.5 * (la + lb) + gap
+        shift = draw(st.floats(-1.0, 1.0)) * 0.5 * (wa + wb)
+    elif kind == "same":
+        ya = yb = draw(angles)
+        la, wa, d = lb, wb, 0.0
+    else:
+        ya, yb = draw(angles), draw(angles)
+        d = draw(st.floats(0.0, 10.0))
+    bx = ax + d * math.cos(phi) - shift * math.sin(phi)
+    by = ay + d * math.sin(phi) + shift * math.cos(phi)
+    return (Cuboid3D((ax, ay, 0.0), (la, wa, h), ya),
+            Cuboid3D((bx, by, 0.0), (lb, wb, h), yb))
+
+
+thetas = st.one_of(st.just(5e-324), st.just(1.0), st.floats(5e-324, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_pairs(), thetas)
+# corners a few ulps apart: rounding lets the clip see a sliver of overlap,
+# so a screen whose margin ignores the centre coordinates drops these pairs
+@example((Cuboid3D((11639121.81880277, 14162969.214394506, 0.0),
+                   (3.635099841154197, 1.4746868699067255, 1.0), -1.3850105457587922),
+          Cuboid3D((11639124.202154094, 14162965.505667081, 0.0),
+                   (4.893369592298933, 0.08998234842812086, 1.0), 2.1235887687736463)),
+         5e-324)
+@example((Cuboid3D((-85154079.61503883, 98321962.2042058, 0.0),
+                   (3.1524799573879356, 3.095816474700072, 1.0), -3.4537105508256856),
+          Cuboid3D((-85154082.24471135, 98321960.88751417, 0.0),
+                   (0.628648463375266, 1.3214835154031421, 1.0), -0.6625535490643053)),
+         5e-324)
+def test_screen_keeps_every_pair_the_clip_can_see(pair, theta):
+    a, b = pair
+    for base, lidar in (([a], [b]), ([b], [a]), ([a, b], [b, a])):
+        check_screen(base, lidar, theta)
+
+
+@pytest.fixture
+def iou3d_calls(monkeypatch):
+    """Pairs passed to ``iou3d`` by the matching code, in call order."""
+    calls = []
+
+    def counting_iou3d(a, b):
+        calls.append((a, b))
+        return iou3d(a, b)
+
+    monkeypatch.setattr(redkit.multimodal, "iou3d", counting_iou3d)
+    return calls
+
+
+def test_screen_passes_nan_centres_to_the_clip(iou3d_calls):
+    # far_box alone is screened out; any pair with a NaN centre is not
+    nan_box = scored(math.nan, 0.0)
+    far_box = scored(100.0)
+    origin = cube(0.0)
+    for base, lidar, clipped in (([origin], [nan_box, far_box], (origin, nan_box)),
+                                 ([nan_box], [far_box], (nan_box, far_box))):
+        for theta in (5e-324, 0.5):
+            iou3d_calls.clear()
+            check_screen(base, lidar, theta)
+            # once from match_frame, once from match_boxes
+            assert iou3d_calls == [clipped, clipped]
+
+
+def test_screen_agrees_with_brute_force_on_synth_frames():
+    ds, _ = generate_scene(
+        SynthParams(seed=31, n_objects=30, n_frames=3, drop_rate=0.3,
+                    detection_noise=0.2)
+    )
+    for frame in ds.scenes[0].frames:
+        base = frame.detection_sets["fusion_baseline"]
+        lidar = frame.detection_sets["lidar_only"]
+        for theta in (5e-324, 0.1, 0.5, 1.0):
+            check_screen(base, lidar, theta)
+
+
+def test_screen_limits_iou3d_calls(iou3d_calls):
+    # the far-apart pairs never reach the exact clip
+    ds, _ = generate_scene(
+        SynthParams(seed=5, n_objects=30, n_frames=2, drop_rate=0.3,
+                    detection_noise=0.2)
+    )
+    n_base = 0
+    for frame in ds.scenes[0].frames:
+        base = frame.detection_sets["fusion_baseline"]
+        n_base += len(base)
+        match_frame(base, frame.detection_sets["lidar_only"], theta=0.5)
+    assert n_base > 0
+    assert 0 < len(iou3d_calls) <= 2 * n_base
+
+
 # ------------------------------------------------------------------ t-test
 
 
@@ -297,3 +449,21 @@ def test_welch_antisymmetric(a, b):
     assert df_ab == pytest.approx(df_ba, abs=1e-9)
     assert p_ab == pytest.approx(p_ba, abs=1e-9)
     assert 0.0 <= p_ab <= 1.0
+
+
+def test_distance_ttest_splits_frames_by_rr():
+    near = [cube(2.0), cube(3.0)]
+    far = [cube(20.0), cube(24.0)]
+    result = distance_ttest([far, near], [1.0, 0.0])
+    assert result["split"] == 0.5
+    assert result["split_rule"] == "median"
+    assert (result["n_high"], result["n_low"]) == (2, 2)
+    t, df, p = welch_t_test([20.0, 24.0], [2.0, 3.0])
+    assert (result["t"], result["df"], result["p"]) == (t, df, p)
+    assert result["status"] == "ok"
+    # every frame is high at split 0, so the low group is empty
+    skipped = distance_ttest([far, near], [1.0, 0.0], split=0.0)
+    assert (skipped["split_rule"], skipped["n_low"]) == ("value", 0)
+    assert skipped["status"] == "skipped"
+    with pytest.raises(ValueError):
+        distance_ttest([far], [1.0], split=math.nan)

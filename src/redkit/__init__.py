@@ -62,6 +62,7 @@ from .multisource import (
     crop_overlap,
     form_groups,
     group_stats,
+    overlap_similarity,
     prune_dataset,
     prune_group,
     sweep_tau,
@@ -141,6 +142,7 @@ __all__ = [
     "match_frame",
     "nuscenes_like_cameras",
     "overlap_arc",
+    "overlap_similarity",
     "parse_dataset",
     "parse_detection_set",
     "parse_pgm",

@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NoReturn
 
 import numpy as np
 
@@ -203,10 +203,32 @@ def serialize_pgm(img: GrayImage) -> bytes:
 # canonical schema parsing
 
 
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
+               bool: "a boolean", int: "a number", float: "a number",
+               type(None): "null"}
+
+
+def _typed(value: Any, kind: type, what: str, ctx: str) -> Any:
+    """``value`` if it has the JSON type ``kind`` (object, array or string)."""
+    if not isinstance(value, kind):
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise ParseError(f"{ctx}: {what} must be {_JSON_NAMES[kind]}, got {got}")
+    return value
+
+
 def _ctx_get(obj: Mapping[str, Any], key: str, ctx: str) -> Any:
     if key not in obj:
         raise ParseError(f"{ctx}: missing required field {key!r}")
     return obj[key]
+
+
+def _reraise(exc: Exception, ctx: str) -> NoReturn:
+    """Re-raise a record constructor's error with ``ctx``: a value of the
+    wrong JSON type is a ``ParseError``, a bad value a ``ValidationError``."""
+    if isinstance(exc, (ParseError, ValidationError)):
+        raise exc
+    kind = ParseError if isinstance(exc, TypeError) else ValidationError
+    raise kind(f"{ctx}: {exc}") from None
 
 
 def _vec(value: Any, n: int, ctx: str) -> tuple[float, ...]:
@@ -229,6 +251,13 @@ def _finite(value: Any, what: str, ctx: str) -> float:
     return number
 
 
+def _integer(value: Any, what: str, ctx: str) -> int:
+    """``value`` if it is a JSON integer: not a float, string or boolean."""
+    if type(value) is not int:
+        raise ValidationError(f"{ctx}: {what} must be an integer, got {value!r}")
+    return value
+
+
 def _file_name_part(value: Any, what: str, ctx: str) -> str:
     """``value`` if it is a string that can only name a file inside the
     output directory it is joined to: no separators, NUL, ``.`` or ``..``."""
@@ -240,43 +269,42 @@ def _file_name_part(value: Any, what: str, ctx: str) -> str:
     return value
 
 
-def _parse_camera(obj: Mapping[str, Any], ctx: str) -> CameraModel:
+def _parse_camera(obj: Any, ctx: str) -> CameraModel:
+    _typed(obj, dict, "camera", ctx)
     name = _file_name_part(_ctx_get(obj, "name", ctx), "camera name", ctx)
-    intr = _ctx_get(obj, "intrinsics", f"{ctx} camera {name!r}")
-    extr = _ctx_get(obj, "extrinsics", f"{ctx} camera {name!r}")
     c = f"{ctx} camera {name!r}"
+    intr = _typed(_ctx_get(obj, "intrinsics", c), dict, "intrinsics", c)
+    extr = _typed(_ctx_get(obj, "extrinsics", c), dict, "extrinsics", c)
     try:
         return CameraModel(
             name=name,
-            fx=float(_ctx_get(intr, "fx", c)),
-            fy=float(_ctx_get(intr, "fy", c)),
-            cx=float(_ctx_get(intr, "cx", c)),
-            cy=float(_ctx_get(intr, "cy", c)),
-            width=int(_ctx_get(intr, "width", c)),
-            height=int(_ctx_get(intr, "height", c)),
+            fx=_finite(_ctx_get(intr, "fx", c), "fx", c),
+            fy=_finite(_ctx_get(intr, "fy", c), "fy", c),
+            cx=_finite(_ctx_get(intr, "cx", c), "cx", c),
+            cy=_finite(_ctx_get(intr, "cy", c), "cy", c),
+            width=_integer(_ctx_get(intr, "width", c), "width", c),
+            height=_integer(_ctx_get(intr, "height", c), "height", c),
             rotation=_vec(_ctx_get(extr, "rotation", c), 4, c),
             translation=_vec(_ctx_get(extr, "translation", c), 3, c),
         )
-    except ValueError as exc:
-        if isinstance(exc, (ParseError, ValidationError)):
-            raise
-        raise ValidationError(f"{c}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        _reraise(exc, c)
 
 
-def _parse_cuboid(obj: Mapping[str, Any], ctx: str) -> Cuboid3D:
+def _parse_cuboid(obj: Any, ctx: str) -> Cuboid3D:
+    _typed(obj, dict, "cuboid", ctx)
     try:
         return Cuboid3D(
             center=_vec(_ctx_get(obj, "center", ctx), 3, ctx),
             size=_vec(_ctx_get(obj, "size", ctx), 3, ctx),
             yaw=_finite(_ctx_get(obj, "yaw", ctx), "yaw", ctx),
         )
-    except ValueError as exc:
-        if isinstance(exc, (ParseError, ValidationError)):
-            raise
-        raise ValidationError(f"{ctx}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        _reraise(exc, ctx)
 
 
-def _parse_detection(obj: Mapping[str, Any], ctx: str) -> Box3D:
+def _parse_detection(obj: Any, ctx: str) -> Box3D:
+    _typed(obj, dict, "detection record", ctx)
     try:
         return Box3D(
             center=_vec(_ctx_get(obj, "center", ctx), 3, ctx),
@@ -284,27 +312,27 @@ def _parse_detection(obj: Mapping[str, Any], ctx: str) -> Box3D:
             yaw=_finite(_ctx_get(obj, "yaw", ctx), "yaw", ctx),
             score=_finite(_ctx_get(obj, "score", ctx), "score", ctx),
         )
-    except ValueError as exc:
-        if isinstance(exc, (ParseError, ValidationError)):
-            raise
-        raise ValidationError(f"{ctx}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        _reraise(exc, ctx)
 
 
-def _parse_annotation(obj: Mapping[str, Any], camera_names: frozenset[str],
+def _parse_annotation(obj: Any, camera_names: frozenset[str],
                       class_map: Mapping[str, int], ctx: str) -> Annotation:
-    track_id = _ctx_get(obj, "track_id", ctx)
+    track_id = _typed(_ctx_get(obj, "track_id", ctx), str, "track_id", ctx)
     category = _ctx_get(obj, "category", ctx)
     c = f"{ctx} annotation {track_id!r}"
+    _typed(category, str, "category", c)
     if category not in class_map:
         raise ValidationError(f"{c}: category {category!r} not in the class map")
     cuboid = None
     if obj.get("cuboid") is not None:
         cuboid = _parse_cuboid(obj["cuboid"], c)
     boxes2d: dict[str, Box2D] = {}
-    for cam_name, box in (obj.get("boxes2d") or {}).items():
+    for cam_name, box in _typed(obj.get("boxes2d") or {}, dict, "boxes2d", c).items():
         if cam_name not in camera_names:
             raise ValidationError(f"{c}: 2D box names unknown camera {cam_name!r}")
         bc = f"{c} box in {cam_name!r}"
+        _typed(box, dict, "box", bc)
         try:
             parsed = Box2D(
                 float(_ctx_get(box, "x0", bc)),
@@ -312,10 +340,12 @@ def _parse_annotation(obj: Mapping[str, Any], camera_names: frozenset[str],
                 float(_ctx_get(box, "x1", bc)),
                 float(_ctx_get(box, "y1", bc)),
             )
-        except ValueError as exc:
-            if isinstance(exc, (ParseError, ValidationError)):
-                raise
-            raise ValidationError(f"{bc}: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            _reraise(exc, bc)
+        if not all(map(math.isfinite, (parsed.x0, parsed.y0, parsed.x1, parsed.y1))):
+            raise ValidationError(
+                f"{bc}: native box coordinates must be finite, got "
+                f"({parsed.x0}, {parsed.y0}, {parsed.x1}, {parsed.y1})")
         if parsed.area <= 0.0:
             raise ValidationError(f"{bc}: native box must have positive area")
         boxes2d[cam_name] = parsed
@@ -340,21 +370,24 @@ def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str) -> tu
         raise ValidationError(f"{ctx}: class_map differs from the first scene's")
 
     cameras = tuple(
-        _parse_camera(c, ctx) for c in _ctx_get(doc, "cameras", ctx)
+        _parse_camera(c, ctx)
+        for c in _typed(_ctx_get(doc, "cameras", ctx), list, "cameras", ctx)
     )
     names = [c.name for c in cameras]
     if len(set(names)) != len(names):
         raise ValidationError(f"{ctx}: duplicate camera name")
     camera_names = frozenset(names)
 
-    raw_frames = _ctx_get(doc, "frames", ctx)
+    raw_frames = _typed(_ctx_get(doc, "frames", ctx), list, "frames", ctx)
     if not raw_frames:
         raise ValidationError(f"{ctx}: a scene needs at least one frame")
     frames = []
     prev_ts = None
-    for fobj in raw_frames:
+    for i, fobj in enumerate(raw_frames):
+        _typed(fobj, dict, f"frame {i}", ctx)
         ts = _ctx_get(fobj, "timestamp_ns", ctx)
-        if not isinstance(ts, int):
+        # bool is a subclass of int; JSON true is not a timestamp
+        if type(ts) is not int:
             raise ParseError(f"{ctx}: timestamp_ns must be an integer, got {ts!r}")
         fctx = f"{ctx} frame {ts}"
         if prev_ts is not None and ts <= prev_ts:
@@ -362,7 +395,9 @@ def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str) -> tu
         prev_ts = ts
         annotations = []
         seen_tracks = set()
-        for aobj in fobj.get("annotations", []):
+        raw_annotations = _typed(fobj.get("annotations", []), list, "annotations", fctx)
+        for j, aobj in enumerate(raw_annotations):
+            _typed(aobj, dict, f"annotation {j}", fctx)
             ann = _parse_annotation(aobj, camera_names, class_map, fctx)
             if ann.track_id in seen_tracks:
                 raise ValidationError(
@@ -371,10 +406,12 @@ def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str) -> tu
             seen_tracks.add(ann.track_id)
             annotations.append(ann)
         detection_sets = {}
-        for set_name, records in (fobj.get("detection_sets") or {}).items():
+        raw_sets = _typed(fobj.get("detection_sets") or {}, dict, "detection_sets", fctx)
+        for set_name, records in raw_sets.items():
             dctx = f"{fctx} detection set {set_name!r}"
             detection_sets[set_name] = tuple(
-                _parse_detection(r, dctx) for r in records
+                _parse_detection(r, dctx)
+                for r in _typed(records, list, "detection set", dctx)
             )
         frames.append(Frame(ts, tuple(annotations), detection_sets))
     return Scene(scene_id, cameras, tuple(frames)), class_map

@@ -10,6 +10,7 @@ Ungrouped observations are never touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .geometry import CameraModel, angle_to_column, bcs, horizontal_fov, \
     normalize_deg, yaw_center
 from .geometry import Box2D
-from .ingest import Dataset, Frame, GrayImage, resolve_box
+from .ingest import Dataset, Frame, GrayImage, parse_pgm, resolve_box
 from .overlap import OverlapGraph
 
 # (scene_id, timestamp_ns, camera, track_id)
@@ -146,25 +147,28 @@ def _components(cams: Sequence[str], adjacency: Mapping[str, frozenset[str]]
     return out
 
 
+def _removed(observations: Sequence[Observation], tau: float) -> list[Observation]:
+    """The pruning rule: the observations whose score falls more than
+    ``tau`` below the group's highest score, in group order."""
+    anchor = max(o.bcs for o in observations)
+    return [o for o in observations if anchor - o.bcs > tau]
+
+
 def prune_group(group: RedundancyGroup, tau: float) -> PruneDecision:
     """Apply the max-anchored completeness rule to one group.
 
     The highest score in the group is the anchor; an observation is removed
-    when ``anchor - score > tau``. The anchor itself always survives (ties
-    resolve to the lexicographically first camera, though every tied
-    observation is kept anyway since its gap is zero).
+    when its score falls more than ``tau`` below it. The anchor itself
+    always survives (ties resolve to the lexicographically first camera,
+    though every tied observation is kept anyway since its gap is zero).
     """
     if not tau >= 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    anchor = max(o.bcs for o in group.observations)
-    kept = []
-    removed = []
-    for o in group.observations:
-        if anchor - o.bcs > tau:
-            removed.append((o.camera, group.track_id))
-        else:
-            kept.append((o.camera, group.track_id))
-    return PruneDecision(tuple(kept), tuple(removed), tau)
+    removed = _removed(group.observations, tau)
+    kept = [o for o in group.observations if o not in removed]
+    track = group.track_id
+    return PruneDecision(tuple((o.camera, track) for o in kept),
+                         tuple((o.camera, track) for o in removed), tau)
 
 
 # --------------------------------------------------------------------------
@@ -254,10 +258,8 @@ def _removed_keys(index: _DatasetIndex, tau: float,
     removed: list[LabelKey] = []
     for sid, group, graph in index.groups:
         eff = _effective_tau(group, graph, tau, pair_taus)
-        anchor = max(o.bcs for o in group.observations)
-        for o in group.observations:
-            if anchor - o.bcs > eff:
-                removed.append((sid, group.frame, o.camera, group.track_id))
+        for o in _removed(group.observations, eff):
+            removed.append((sid, group.frame, o.camera, group.track_id))
     return removed
 
 
@@ -406,6 +408,52 @@ def crop_overlap(img: GrayImage, cam: CameraModel,
     if c1 < c0:
         c0, c1 = c1, c0
     return GrayImage(img.pixels[:, c0 : c1 + 1])
+
+
+def overlap_similarity(dataset: Dataset, graphs: Mapping[str, OverlapGraph],
+                       image_root: str | Path | None) -> dict:
+    """The crop-similarity prescreen of an audit report.
+
+    For every overlapping pair of every scene, the mean cosine similarity of
+    the two cameras' :func:`crop_overlap` crops over the frames that have
+    both images, read as ``<image_root>/<scene_id>/<timestamp_ns>/<camera>.pgm``.
+    The status is ``skipped`` when there is no image root or no frame had
+    images for any pair.
+    """
+    if image_root is None:
+        return {"status": "skipped", "reason": "no images supplied"}
+    root = Path(image_root)
+    per_scene: dict[str, dict] = {}
+    compared = 0
+    for scene in dataset.scenes:
+        cam_map = scene.camera_map
+        pair_stats: dict[str, dict] = {}
+        for pair in graphs[scene.scene_id].pairs:
+            sims = []
+            for frame in scene.frames:
+                base = root / scene.scene_id / str(frame.timestamp_ns)
+                path_a = base / f"{pair.camera_a}.pgm"
+                path_b = base / f"{pair.camera_b}.pgm"
+                if not path_a.is_file() or not path_b.is_file():
+                    continue
+                crop_a = crop_overlap(
+                    parse_pgm(path_a.read_bytes()), cam_map[pair.camera_a], pair.arc)
+                crop_b = crop_overlap(
+                    parse_pgm(path_b.read_bytes()), cam_map[pair.camera_b], pair.arc)
+                sims.append(cosine_similarity(crop_a, crop_b))
+            key = f"{pair.camera_a}|{pair.camera_b}"
+            if sims:
+                compared += len(sims)
+                pair_stats[key] = {
+                    "mean": sum(sims) / len(sims),
+                    "frames": len(sims),
+                }
+            else:
+                pair_stats[key] = {"mean": None, "frames": 0}
+        per_scene[scene.scene_id] = pair_stats
+    if compared == 0:
+        return {"status": "skipped", "reason": "no frame had images for any pair"}
+    return {"status": "ok", "per_scene": per_scene}
 
 
 def _resample_to_grid(img: GrayImage) -> np.ndarray:

@@ -423,6 +423,33 @@ def test_prune_rejects_non_finite_cuboids(tmp_path, capsys, ring_dataset,
     assert not out.exists()
 
 
+def test_prune_names_the_camera_with_a_nan_intrinsic(tmp_path, capsys, ring_dataset):
+    # used to fail while projecting, with an inverted box naming no camera
+    data_dir, _ = ring_dataset
+    edit_scene_file(data_dir, lambda doc: doc["cameras"][2]["intrinsics"]
+                    .update(cx=math.nan))
+    out = tmp_path / "x"
+    assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", "0.3",
+                   "--label-source", "projected-3d") == 1
+    assert "camera 'CAM_FRONT_RIGHT': cx must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_audit_names_the_box_with_a_nan_coordinate(tmp_path, capsys, ring_dataset):
+    # used to die in the BCS histogram: "cannot convert float NaN to integer"
+    data_dir, _ = ring_dataset
+
+    def edit(doc):
+        boxes = doc["frames"][1]["annotations"][0]["boxes2d"]
+        next(iter(boxes.values()))["y1"] = math.nan
+
+    edit_scene_file(data_dir, edit)
+    out = tmp_path / "x"
+    assert run_cli("audit", "--dataset", data_dir, "--out", out) == 1
+    assert "native box coordinates must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["prune", "--tau", "nan"],
     ["sweep", "--taus", "nan,0.2"],
@@ -485,17 +512,74 @@ def test_mm_sweep_pools_frames_like_the_reference(tmp_path):
     assert (out / "mm_sweep.csv").read_text() == "\n".join(want) + "\n"
 
 
+# ------------------------------------------------------------ config echo
+
+
+DATASET_DEFAULTS = [("overlap_mode", "calibration"), ("label_source", "native-2d"),
+                    ("min_overlap", 1.0)]
+
+
+@pytest.mark.parametrize("command,args,report,want", [
+    ("audit", [], "audit.json", []),
+    ("audit", ["--overlap-mode", "preset-nuscenes", "--label-source",
+               "projected-3d", "--min-overlap", "2"], "audit.json", "custom"),
+    ("prune", ["--tau", "0.3"], "prune_report.json",
+     [("tau", 0.3), ("pair_taus", {})]),
+    # pairs come back sorted, and a repeated pair keeps its last value
+    ("prune", ["--tau", "0.7", "--pair-tau", "CAM_FRONT_RIGHT:CAM_FRONT=0.2",
+               "--pair-tau", "CAM_BACK:CAM_BACK_LEFT=0.9",
+               "--pair-tau", "CAM_BACK:CAM_BACK_LEFT=0.4"], "prune_report.json",
+     [("tau", 0.7), ("pair_taus", {"CAM_BACK:CAM_BACK_LEFT": 0.4,
+                                   "CAM_FRONT_RIGHT:CAM_FRONT": 0.2})]),
+    # mm parses no overlap options but echoes their defaults
+    ("mm", [], "mm_report.json",
+     [("theta", 0.5), ("t_dist", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]),
+      ("rr_split", "median"), ("base_set", "fusion_baseline"),
+      ("lidar_set", "lidar_only")]),
+    ("mm", ["--theta", "0.3", "--t-dist", "12,0", "--rr-split", "0.5",
+            "--base-set", "lidar_only", "--lidar-set", "fusion_baseline"],
+     "mm_report.json",
+     [("theta", 0.3), ("t_dist", [12.0, 0.0]), ("rr_split", "0.5"),
+      ("base_set", "lidar_only"), ("lidar_set", "fusion_baseline")]),
+])
+def test_reports_echo_their_config(ring_dataset, tmp_path, command, args,
+                                   report, want):
+    data_dir, _ = ring_dataset
+    out = tmp_path / "out"
+    assert run_cli(command, "--dataset", data_dir, "--out", out, *args) == 0
+    if want == "custom":
+        expected = [("command", command), ("overlap_mode", "preset-nuscenes"),
+                    ("label_source", "projected-3d"), ("min_overlap", 2.0)]
+    else:
+        expected = [("command", command), *DATASET_DEFAULTS, *want]
+    config = json.loads((out / report).read_text())["config"]
+    # key order is part of the byte-stable report
+    assert list(config.items()) == expected
+
+
+def test_sweep_writes_no_report(ring_dataset, tmp_path):
+    data_dir, _ = ring_dataset
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--dataset", data_dir, "--out", out, "--taus", "0.3",
+                   "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=0.1") == 0
+    assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+
+
 # ------------------------------------------------------------- infrastructure
 
 
 def test_cli_imports_no_private_names_or_iou3d():
+    # cli parses, calls the library and writes files; analysis stays in the
+    # library modules
+    analysis = {"iou3d", "crop_overlap", "cosine_similarity", "parse_pgm",
+                "resolve_box"}
     tree = ast.parse(Path(redkit.cli.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
                 node.level > 0 or (node.module or "").startswith("redkit")):
             for alias in node.names:
                 assert not alias.name.startswith("_"), alias.name
-                assert alias.name != "iou3d"
+                assert alias.name not in analysis, alias.name
 
 
 def test_unsafe_scene_id_writes_nothing_outside_out(tmp_path, capsys):

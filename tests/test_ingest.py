@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,77 @@ def test_names_that_form_file_names_must_be_safe(tmp_path, minimal_scene_dict,
     else:
         doc["cameras"][1]["name"] = name
     with pytest.raises(ValidationError, match=field):
+        parse_dataset(write_scene(tmp_path, doc))
+
+
+ANNOTATION = ("frames", 0, "annotations", 0)
+
+
+@pytest.mark.parametrize("path,value,where", [
+    (("frames",), [1, 2], "frame 0 must be an object"),
+    (ANNOTATION, 5, "frame 0: annotation 0 must be an object"),
+    (ANNOTATION + ("boxes2d",), [{"x0": 0}], "annotation 'track-1': boxes2d must be"),
+    (("frames", 0, "detection_sets"), ["lidar_only"], "frame 0: detection_sets must be"),
+    (ANNOTATION + ("track_id",), ["a"], "frame 0: track_id must be a string"),
+    (ANNOTATION + ("category",), ["car"], "'track-1': category must be a string"),
+    (("cameras",), {"CAM_FRONT": {}}, "cameras must be an array"),
+    (("cameras", 1), "CAM_FRONT_RIGHT", "camera must be an object"),
+    (("cameras", 0, "intrinsics"), [1, 2], "'CAM_FRONT': intrinsics must be"),
+    (("frames", 0, "annotations"), None, "frame 0: annotations must be an array"),
+    (ANNOTATION + ("boxes2d", "CAM_FRONT"), [0, 0, 1, 1], "in 'CAM_FRONT': box must be"),
+    (ANNOTATION + ("boxes2d", "CAM_FRONT", "x0"), [0], "in 'CAM_FRONT': float()"),
+    (ANNOTATION + ("cuboid",), 5, "'track-1': cuboid must be an object"),
+    (("frames", 0, "detection_sets"), {"lidar_only": {}}, "'lidar_only': detection set must"),
+    (("frames", 0, "detection_sets"), {"lidar_only": [5]}, "detection record must be"),
+])
+def test_wrong_json_types_are_parse_errors_that_say_where(
+        tmp_path, minimal_scene_dict, path, value, where):
+    doc = copy.deepcopy(minimal_scene_dict)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ParseError, match=re.escape(where)):
+        parse_dataset(write_scene(tmp_path, doc))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("cx", math.nan, "cx must be finite"),
+    ("cy", -math.inf, "cy must be finite"),
+    ("fx", math.inf, "fx must be finite"),
+    ("fy", math.nan, "fy must be finite"),
+    ("width", 1600.7, "width must be an integer"),
+    ("width", 1600.0, "width must be an integer"),
+    ("height", True, "height must be an integer"),
+    ("height", "900", "height must be an integer"),
+])
+def test_intrinsics_are_checked_and_name_the_camera(tmp_path, minimal_scene_dict,
+                                                    field, value, message):
+    doc = copy.deepcopy(minimal_scene_dict)
+    doc["cameras"][1]["intrinsics"][field] = value
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"camera 'CAM_FRONT_RIGHT': {message}")):
+        parse_dataset(write_scene(tmp_path, doc))
+
+
+def test_boolean_timestamp_rejected(tmp_path, minimal_scene_dict):
+    doc = copy.deepcopy(minimal_scene_dict)
+    doc["frames"][0]["timestamp_ns"] = True
+    with pytest.raises(ParseError, match="timestamp_ns must be an integer"):
+        parse_dataset(write_scene(tmp_path, doc))
+
+
+@pytest.mark.parametrize("field", ["x0", "y0", "x1", "y1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_native_box_coordinates_must_be_finite(tmp_path, minimal_scene_dict,
+                                               field, value):
+    doc = copy.deepcopy(minimal_scene_dict)
+    doc["frames"][0]["annotations"][0]["boxes2d"]["CAM_FRONT"][field] = value
+    # an infinite coordinate may already fail as an inverted box
+    with pytest.raises(ValidationError, match=r"annotation 'track-1' box in "
+                       r"'CAM_FRONT': (native box coordinates must be finite"
+                       r"|inverted box)"):
         parse_dataset(write_scene(tmp_path, doc))
 
 

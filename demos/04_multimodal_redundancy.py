@@ -7,8 +7,7 @@ the distance-versus-redundancy significance test.
 
 import statistics
 
-from redkit.geometry import centroid_distance
-from redkit.multimodal import redundancy_ratio, sweep_distance, welch_t_test
+from redkit.multimodal import distance_ttest, redundancy_ratio, sweep_distance
 from redkit.synth import SynthParams, generate_scene
 
 
@@ -37,18 +36,15 @@ def main():
         print(f"{row.t_dist:6.1f} {row.pruned_count:7d} {row.lost_ratio:11.3f}")
 
     # are objects in low-redundancy frames systematically nearer or farther?
-    split = statistics.median(rrs)
-    high = [centroid_distance(b) for f, rr in zip(frames, rrs) if rr >= split
-            for b in f.detection_sets["fusion_baseline"]]
-    low = [centroid_distance(b) for f, rr in zip(frames, rrs) if rr < split
-           for b in f.detection_sets["lidar_only"]]
-    if len(high) >= 2 and len(low) >= 2:
-        t, df, p = welch_t_test(high, low)
-        print(f"\nwelch t-test, ego distance by redundancy (split at rr={split:.3f}):")
-        print(f"  n_high={len(high)}, n_low={len(low)}, t={t:.4f}, df={df:.2f}, p={p:.4g}")
+    bases = [f.detection_sets["fusion_baseline"] for f in frames]
+    ttest = distance_ttest(bases, rrs)
+    print(f"\nwelch t-test, ego distance by redundancy "
+          f"(split at rr={ttest['split']:.3f}):")
+    if ttest["status"] == "ok":
+        print(f"  n_high={ttest['n_high']}, n_low={ttest['n_low']}, "
+              f"t={ttest['t']:.4f}, df={ttest['df']:.2f}, p={ttest['p']:.4g}")
     else:
-        print("\nnot enough frames on one side of the split for a t-test")
-
+        print(f"  skipped: {ttest['reason']}")
 
 if __name__ == "__main__":
     main()

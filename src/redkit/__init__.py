@@ -19,7 +19,6 @@ from .geometry import (
     centroid_distance,
     cuboid_corners,
     horizontal_fov,
-    iou2d,
     iou3d,
     project_cuboid,
     yaw_center,
@@ -34,7 +33,6 @@ from .ingest import (
     ValidationError,
     emit_labels,
     parse_dataset,
-    parse_detection_set,
     parse_pgm,
     serialize_pgm,
     write_dataset,
@@ -42,11 +40,9 @@ from .ingest import (
 from .multimodal import (
     DistanceSweepRow,
     FrameMatch,
-    Matching,
     distance_prune,
     distance_ttest,
     lost_ratio,
-    match_boxes,
     match_frame,
     pooled_sweep,
     redundancy_ratio,
@@ -105,7 +101,6 @@ __all__ = [
     "FrameMatch",
     "GrayImage",
     "GroundTruth",
-    "Matching",
     "Observation",
     "OverlapGraph",
     "OverlapPair",
@@ -135,16 +130,13 @@ __all__ = [
     "generate_scene",
     "group_stats",
     "horizontal_fov",
-    "iou2d",
     "iou3d",
     "lost_ratio",
-    "match_boxes",
     "match_frame",
     "nuscenes_like_cameras",
     "overlap_arc",
     "overlap_similarity",
     "parse_dataset",
-    "parse_detection_set",
     "parse_pgm",
     "pooled_sweep",
     "preset_nuscenes",

@@ -1,7 +1,7 @@
 """Metric geometry for multi-camera rigs.
 
 Pinhole projection of 3D cuboids, image-boundary clipping, box completeness
-scoring, IoU in two and three dimensions, and viewing-angle conversions.
+scoring, 3D IoU, and viewing-angle conversions.
 
 Coordinate conventions, fixed package-wide:
 
@@ -65,15 +65,13 @@ class Box2D:
 
     A full (unclipped) box must have positive area; a box produced by
     :meth:`clip` may be degenerate (zero width or height) when the original
-    lies entirely outside the image. ``clipped_to`` records the image bounds
-    used for clipping, ``None`` for full boxes.
+    lies entirely outside the image.
     """
 
     x0: float
     y0: float
     x1: float
     y1: float
-    clipped_to: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.x1 < self.x0 or self.y1 < self.y0:
@@ -82,10 +80,6 @@ class Box2D:
     @property
     def area(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
 
     def clip(self, width: int, height: int) -> "Box2D":
         """Intersect with the image rectangle ``[0, width] x [0, height]``.
@@ -100,7 +94,6 @@ class Box2D:
             min(max(self.y0, 0.0), h),
             min(max(self.x1, 0.0), w),
             min(max(self.y1, 0.0), h),
-            clipped_to=(int(width), int(height)),
         )
 
 
@@ -255,19 +248,6 @@ def bcs(full: Box2D, clipped: Box2D) -> float:
     if area_full <= 0.0:
         raise ValueError("full box has zero area, completeness undefined")
     return clipped.area / area_full
-
-
-def iou2d(a: Box2D, b: Box2D) -> float:
-    """Intersection over union of two axis-aligned pixel boxes."""
-    ix = min(a.x1, b.x1) - max(a.x0, b.x0)
-    iy = min(a.y1, b.y1) - max(a.y0, b.y0)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
 
 
 def _bev_footprint(box: Cuboid3D) -> list[tuple[float, float]]:

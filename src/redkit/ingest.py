@@ -100,29 +100,15 @@ class Dataset:
     scenes: tuple[Scene, ...]
     class_map: dict[str, int]
 
-    def scene(self, scene_id: str) -> Scene:
-        for s in self.scenes:
-            if s.scene_id == scene_id:
-                return s
-        raise KeyError(scene_id)
-
 
 class GrayImage:
     """8-bit grayscale image; pixels are a ``(height, width)`` uint8 array."""
 
     __slots__ = ("pixels",)
 
-    def __init__(self, pixels: Any, width: int | None = None, height: int | None = None):
+    def __init__(self, pixels: Any):
         arr = np.asarray(pixels, dtype=np.uint8)
-        if arr.ndim == 1:
-            if width is None or height is None:
-                raise ValueError("flat pixel data needs explicit width and height")
-            if arr.size != width * height:
-                raise ValueError(
-                    f"pixel count {arr.size} does not match {width}x{height}"
-                )
-            arr = arr.reshape(height, width)
-        elif arr.ndim != 2:
+        if arr.ndim != 2:
             raise ValueError(f"expected 2D pixel data, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("image must be non-empty")
@@ -190,7 +176,7 @@ def parse_pgm(data: bytes) -> GrayImage:
         raise ParseError(
             f"trailing bytes after PGM payload: {len(payload) - expected}"
         )
-    return GrayImage(np.frombuffer(payload, dtype=np.uint8), width=width, height=height)
+    return GrayImage(np.frombuffer(payload, dtype=np.uint8).reshape(height, width))
 
 
 def serialize_pgm(img: GrayImage) -> bytes:
@@ -231,30 +217,39 @@ def _reraise(exc: Exception, ctx: str) -> NoReturn:
     raise kind(f"{ctx}: {exc}") from None
 
 
-def _vec(value: Any, n: int, ctx: str) -> tuple[float, ...]:
+def _vec(value: Any, n: int, what: str, ctx: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ParseError(f"{ctx}: expected a {n}-vector, got {value!r}")
     try:
         vec = tuple(map(float, value))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{ctx}: non-numeric vector entry ({exc})") from None
+    except OverflowError:
+        vec = tuple(_finite(v, what, ctx) for v in value)  # raises, naming ``what``
     if not all(map(math.isfinite, vec)):
         raise ValidationError(f"{ctx}: vector entries must be finite, got {value!r}")
     return vec
 
 
 def _finite(value: Any, what: str, ctx: str) -> float:
-    """``value`` as a float; NaN and infinities are rejected."""
-    number = float(value)
+    """``value`` as a float; NaN, infinities and integers too large for a
+    float are rejected."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{ctx}: {what} is an integer too large for a float") from None
     if not math.isfinite(number):
         raise ValidationError(f"{ctx}: {what} must be finite, got {value!r}")
     return number
 
 
 def _integer(value: Any, what: str, ctx: str) -> int:
-    """``value`` if it is a JSON integer: not a float, string or boolean."""
+    """``value`` if it is a JSON integer that converts to a float: not a
+    float, string or boolean."""
     if type(value) is not int:
         raise ValidationError(f"{ctx}: {what} must be an integer, got {value!r}")
+    _finite(value, what, ctx)
     return value
 
 
@@ -284,8 +279,8 @@ def _parse_camera(obj: Any, ctx: str) -> CameraModel:
             cy=_finite(_ctx_get(intr, "cy", c), "cy", c),
             width=_integer(_ctx_get(intr, "width", c), "width", c),
             height=_integer(_ctx_get(intr, "height", c), "height", c),
-            rotation=_vec(_ctx_get(extr, "rotation", c), 4, c),
-            translation=_vec(_ctx_get(extr, "translation", c), 3, c),
+            rotation=_vec(_ctx_get(extr, "rotation", c), 4, "rotation", c),
+            translation=_vec(_ctx_get(extr, "translation", c), 3, "translation", c),
         )
     except (TypeError, ValueError) as exc:
         _reraise(exc, c)
@@ -295,8 +290,8 @@ def _parse_cuboid(obj: Any, ctx: str) -> Cuboid3D:
     _typed(obj, dict, "cuboid", ctx)
     try:
         return Cuboid3D(
-            center=_vec(_ctx_get(obj, "center", ctx), 3, ctx),
-            size=_vec(_ctx_get(obj, "size", ctx), 3, ctx),
+            center=_vec(_ctx_get(obj, "center", ctx), 3, "center", ctx),
+            size=_vec(_ctx_get(obj, "size", ctx), 3, "size", ctx),
             yaw=_finite(_ctx_get(obj, "yaw", ctx), "yaw", ctx),
         )
     except (TypeError, ValueError) as exc:
@@ -307,8 +302,8 @@ def _parse_detection(obj: Any, ctx: str) -> Box3D:
     _typed(obj, dict, "detection record", ctx)
     try:
         return Box3D(
-            center=_vec(_ctx_get(obj, "center", ctx), 3, ctx),
-            size=_vec(_ctx_get(obj, "size", ctx), 3, ctx),
+            center=_vec(_ctx_get(obj, "center", ctx), 3, "center", ctx),
+            size=_vec(_ctx_get(obj, "size", ctx), 3, "size", ctx),
             yaw=_finite(_ctx_get(obj, "yaw", ctx), "yaw", ctx),
             score=_finite(_ctx_get(obj, "score", ctx), "score", ctx),
         )
@@ -340,6 +335,9 @@ def _parse_annotation(obj: Any, camera_names: frozenset[str],
                 float(_ctx_get(box, "x1", bc)),
                 float(_ctx_get(box, "y1", bc)),
             )
+        except OverflowError:
+            # raises, naming the coordinate
+            parsed = Box2D(*(_finite(box[k], k, bc) for k in ("x0", "y0", "x1", "y1")))
         except (TypeError, ValueError) as exc:
             _reraise(exc, bc)
         if not all(map(math.isfinite, (parsed.x0, parsed.y0, parsed.x1, parsed.y1))):
@@ -446,18 +444,6 @@ def parse_dataset(path: str | Path) -> Dataset:
         seen_ids.add(scene.scene_id)
         scenes.append(scene)
     return Dataset(tuple(scenes), class_map or {})
-
-
-def parse_detection_set(path: str | Path) -> tuple[Box3D, ...]:
-    """Load a standalone detection-set file: a JSON array of box records."""
-    p = Path(path)
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, list):
-        raise ParseError(f"{p}: expected a JSON array of detection records")
-    return tuple(_parse_detection(r, f"{p} record {i}") for i, r in enumerate(doc))
 
 
 # --------------------------------------------------------------------------

@@ -24,19 +24,6 @@ from .geometry import Box3D, Cuboid3D, centroid_distance, iou3d
 
 
 @dataclass(frozen=True)
-class Matching:
-    """Greedy one-to-one assignment between two detection sets.
-
-    ``pairs`` holds ``(base_index, lidar_index, iou)`` triples in assignment
-    order (descending IoU, ties by index).
-    """
-
-    pairs: tuple[tuple[int, int, float], ...]
-    unmatched_base: tuple[int, ...]
-    unmatched_lidar: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DistanceSweepRow:
     """One distance threshold: boxes removed and baseline match loss."""
 
@@ -88,38 +75,6 @@ def _may_touch(circle: tuple[float, float, float],
         if not dx * dx + dy * dy > s * s:
             near.append(i)
     return near
-
-
-def match_boxes(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
-                theta: float) -> Matching:
-    """Greedily match detections across modalities.
-
-    Candidate pairs with IoU >= ``theta`` are taken best-first; each box is
-    used at most once. Deterministic for equal IoUs via index order.
-    """
-    _check_theta(theta)
-    lidar_circles = _bounding_circles(lidar)
-    candidates = []
-    for bi, (b, circle) in enumerate(zip(base, _bounding_circles(base))):
-        for li in _may_touch(circle, lidar_circles):
-            overlap = iou3d(b, lidar[li])
-            if overlap >= theta:
-                candidates.append((-overlap, bi, li))
-    candidates.sort()
-    used_base: set[int] = set()
-    used_lidar: set[int] = set()
-    pairs = []
-    for neg, bi, li in candidates:
-        if bi in used_base or li in used_lidar:
-            continue
-        used_base.add(bi)
-        used_lidar.add(li)
-        pairs.append((bi, li, -neg))
-    return Matching(
-        tuple(pairs),
-        tuple(i for i in range(len(base)) if i not in used_base),
-        tuple(i for i in range(len(lidar)) if i not in used_lidar),
-    )
 
 
 @dataclass(frozen=True)

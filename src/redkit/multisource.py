@@ -221,8 +221,13 @@ def _index_dataset(dataset: Dataset,
     return _DatasetIndex(all_keys, groups, track_label_counts)
 
 
-def _normalize_pair_taus(pair_taus: Mapping | None) -> dict[frozenset[str], float]:
+def _normalize_pair_taus(pair_taus: Mapping | None, dataset: Dataset,
+                         graph: OverlapGraph | Mapping[str, OverlapGraph]
+                         ) -> dict[frozenset[str], float]:
+    """The overrides keyed by camera pair. An override whose cameras form
+    an edge in no scene's graph could never apply, so it is an error."""
     out: dict[frozenset[str], float] = {}
+    graphs = [_graph_for(graph, scene.scene_id) for scene in dataset.scenes]
     for pair, value in (pair_taus or {}).items():
         key = frozenset(pair)
         if len(key) != 2:
@@ -231,6 +236,9 @@ def _normalize_pair_taus(pair_taus: Mapping | None) -> dict[frozenset[str], floa
         if not value >= 0.0:
             raise ValueError(f"pair override for {pair!r} must be nonnegative, "
                              f"got {value}")
+        if all(g.pair_for(*key) is None for g in graphs):
+            raise ValueError(f"pair override for {pair!r} names no overlapping "
+                             "camera pair of any scene")
         out[key] = value
     return out
 
@@ -290,7 +298,8 @@ def prune_dataset(dataset: Dataset,
         tau: global completeness-gap threshold in ``[0, 1]`` scale.
         source: ``native-2d`` or ``projected-3d`` label source.
         pair_taus: optional per-camera-pair overrides, keyed by any
-            two-element camera-name pair.
+            two-element camera-name pair; each pair must be an edge of
+            some scene's graph.
 
     Returns:
         The kept label keys ``(scene_id, timestamp_ns, camera, track_id)``
@@ -298,7 +307,7 @@ def prune_dataset(dataset: Dataset,
     """
     if not tau >= 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    overrides = _normalize_pair_taus(pair_taus)
+    overrides = _normalize_pair_taus(pair_taus, dataset, graph)
     index = _index_dataset(dataset, graph, source)
     removed = _removed_keys(index, tau, overrides)
     row = _row_for(index, tau, removed)
@@ -319,7 +328,7 @@ def sweep_tau(dataset: Dataset,
         raise ValueError("sweep needs at least one tau")
     if any(not t >= 0.0 for t in taus):
         raise ValueError("every tau must be nonnegative")
-    overrides = _normalize_pair_taus(pair_taus)
+    overrides = _normalize_pair_taus(pair_taus, dataset, graph)
     index = _index_dataset(dataset, graph, source)
     return [
         _row_for(index, tau, _removed_keys(index, tau, overrides))

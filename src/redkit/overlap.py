@@ -122,12 +122,12 @@ def build_overlap_graph(cameras: Iterable[CameraModel],
     Args:
         cameras: at least two cameras with distinct names.
         min_overlap: minimum shared degrees for a pair to become an edge;
-            must be nonnegative.
+            must be nonnegative (NaN is rejected).
 
     Pairs are ordered lexicographically, both within each pair and across
     the list.
     """
-    if min_overlap < 0.0:
+    if not min_overlap >= 0.0:
         raise ValueError(f"min_overlap must be nonnegative, got {min_overlap}")
     cams = sorted(cameras, key=lambda c: c.name)
     if len(cams) < 2:

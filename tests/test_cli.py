@@ -246,6 +246,21 @@ def test_prune_pair_override_only_touches_that_pair(tmp_path):
     assert back_left != ""
 
 
+@pytest.mark.parametrize("command", ["prune", "sweep"])
+@pytest.mark.parametrize("pair", ["X:Y", "CAM_FRONT:CAM_BACK"])
+def test_pair_override_that_names_no_edge_fails(tmp_path, capsys, command, pair):
+    # unknown cameras, and two cameras of the rig that do not overlap
+    data_dir = known_gap_dataset(tmp_path)
+    out = tmp_path / "pruned"
+    threshold = ["--tau", "0.3"] if command == "prune" else ["--taus", "0.3"]
+    assert run_cli(command, "--dataset", data_dir, "--out", out, *threshold,
+                   "--pair-tau", f"{pair}=0") == 1
+    assert "names no overlapping camera pair" in capsys.readouterr().err
+    assert not (out / "prune_report.json").exists()
+    assert not (out / "labels").exists()
+    assert not (out / "sweep.csv").exists()
+
+
 # --------------------------------------------------------------------- sweep
 
 
@@ -381,9 +396,11 @@ def edit_scene_file(data_dir, edit):
     ("size", 2, math.nan),
     ("yaw", None, -math.inf),
     ("score", None, math.nan),
+    ("size", 0, -1.0),
 ])
 def test_mm_rejects_non_finite_detections(tmp_path, capsys, field, index, value):
-    # a NaN LiDAR centre used to count as pruned even at --t-dist 0
+    # a NaN LiDAR centre used to count as pruned even at --t-dist 0; a
+    # finite but negative size is rejected too
     data_dir = known_distance_dataset(tmp_path)
 
     def edit(doc):
@@ -396,7 +413,8 @@ def test_mm_rejects_non_finite_detections(tmp_path, capsys, field, index, value)
     edit_scene_file(data_dir, edit)
     out = tmp_path / "x"
     assert run_cli("mm", "--dataset", data_dir, "--out", out, "--t-dist", "0") == 1
-    assert "must be finite" in capsys.readouterr().err
+    want = "must be finite" if not math.isfinite(value) else "size must be positive"
+    assert want in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -456,6 +474,7 @@ def test_audit_names_the_box_with_a_nan_coordinate(tmp_path, capsys, ring_datase
     ["prune", "--tau", "0.3", "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=nan"],
     ["sweep", "--taus", "0.3", "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=nan"],
     ["sweep", "--taus", ""],
+    ["prune", "--tau", "0", "--min-overlap", "nan"],
 ])
 def test_prune_and_sweep_reject_nan_or_empty_thresholds(tmp_path, capsys, args):
     data_dir = known_gap_dataset(tmp_path)

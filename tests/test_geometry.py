@@ -22,7 +22,6 @@ from redkit.geometry import (
     column_of_angle,
     cuboid_corners,
     horizontal_fov,
-    iou2d,
     iou3d,
     normalize_deg,
     project_cuboid,
@@ -211,20 +210,6 @@ def test_clip_is_idempotent(box):
 
 
 # ----------------------------------------------------------------------- iou
-
-
-def test_iou2d_identity():
-    a = Box2D(0.0, 0.0, 2.0, 2.0)
-    assert iou2d(a, a) == 1.0
-
-
-def test_iou2d_disjoint():
-    assert iou2d(Box2D(0, 0, 1, 1), Box2D(5, 5, 6, 6)) == 0.0
-
-
-def test_iou2d_third():
-    # overlap 1x2 = 2, union 4 + 4 - 2 = 6
-    assert iou2d(Box2D(0, 0, 2, 2), Box2D(1, 0, 3, 2)) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_iou3d_identity_exact():

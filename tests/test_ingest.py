@@ -7,18 +7,18 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dataset_of, scene_with_boxes, two_overlapping_cameras
 from redkit.geometry import Box2D, Cuboid3D
 from redkit.ingest import (
+    Dataset,
     GrayImage,
     ParseError,
     ValidationError,
     emit_labels,
     parse_dataset,
-    parse_detection_set,
     parse_pgm,
     resolve_box,
     scene_to_dict,
@@ -98,6 +98,15 @@ def write_scene(tmp_path, doc, name="scene.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def holder(doc, path):
+    """The container in ``doc`` that holds the value at ``path``, and the
+    value's key or index there."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    return doc, last
 
 
 def test_parse_minimal_fixture(tmp_path, minimal_scene_dict):
@@ -186,11 +195,8 @@ ANNOTATION = ("frames", 0, "annotations", 0)
 def test_wrong_json_types_are_parse_errors_that_say_where(
         tmp_path, minimal_scene_dict, path, value, where):
     doc = copy.deepcopy(minimal_scene_dict)
-    *parents, last = path
-    target = doc
-    for key in parents:
-        target = target[key]
-    target[last] = value
+    target, key = holder(doc, path)
+    target[key] = value
     with pytest.raises(ParseError, match=re.escape(where)):
         parse_dataset(write_scene(tmp_path, doc))
 
@@ -232,6 +238,102 @@ def test_native_box_coordinates_must_be_finite(tmp_path, minimal_scene_dict,
                        r"'CAM_FRONT': (native box coordinates must be finite"
                        r"|inverted box)"):
         parse_dataset(write_scene(tmp_path, doc))
+
+
+def with_cuboid_and_detection(scene_dict):
+    """A copy of the scene whose annotation also has a cuboid and whose
+    frame has a one-box ``lidar_only`` detection set."""
+    doc = copy.deepcopy(scene_dict)
+    frame = doc["frames"][0]
+    frame["annotations"][0]["cuboid"] = {
+        "center": [10.0, 0.0, 0.0], "size": [4.0, 2.0, 1.5], "yaw": 0.0}
+    frame["detection_sets"] = {"lidar_only": [{
+        "center": [10.0, 0.0, 0.0], "size": [4.0, 2.0, 1.5], "yaw": 0.0,
+        "score": 0.5}]}
+    return doc
+
+
+# an integer literal with 401 digits: valid JSON, and no float can hold it
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("path,where", [
+    (ANNOTATION + ("cuboid", "center", 1), "annotation 'track-1': center"),
+    (ANNOTATION + ("cuboid", "yaw"), "annotation 'track-1': yaw"),
+    (("cameras", 1, "intrinsics", "fx"), "camera 'CAM_FRONT_RIGHT': fx"),
+    (("cameras", 1, "intrinsics", "width"), "camera 'CAM_FRONT_RIGHT': width"),
+    (ANNOTATION + ("boxes2d", "CAM_FRONT", "x1"), "box in 'CAM_FRONT': x1"),
+    (("frames", 0, "detection_sets", "lidar_only", 0, "score"),
+     "detection set 'lidar_only': score"),
+])
+def test_integers_too_large_for_a_float_name_the_field(tmp_path, minimal_scene_dict,
+                                                       path, where):
+    doc = with_cuboid_and_detection(minimal_scene_dict)
+    target, key = holder(doc, path)
+    target[key] = HUGE
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{where} is an integer too large for a float")):
+        parse_dataset(write_scene(tmp_path, doc))
+
+
+def test_empty_embedded_detection_set_is_valid(tmp_path, minimal_scene_dict):
+    doc = copy.deepcopy(minimal_scene_dict)
+    doc["frames"][0]["detection_sets"] = {"lidar_only": []}
+    frame = parse_dataset(write_scene(tmp_path, doc)).scenes[0].frames[0]
+    assert frame.detection_sets == {"lidar_only": ()}
+
+
+def json_paths(doc, prefix=()):
+    """The path of every value inside ``doc``, the root excluded."""
+    keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
+    for key in keys:
+        path = prefix + (key,)
+        yield path
+        if isinstance(doc[key], (dict, list)):
+            yield from json_paths(doc[key], path)
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.text(max_size=8) | st.integers()
+    # integers that no float holds
+    | st.sampled_from([2**1024, -(2**1024), HUGE])
+    | st.floats()  # NaN and the infinities included
+)
+json_values = json_scalars | st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A valid scene with every record kind (cameras, cuboids, native boxes
+    and detection sets), the path of each of its values, and a file to
+    write edited copies to."""
+    ds, _ = generate_scene(SynthParams(seed=13, n_cameras=3, n_objects=2,
+                                       detection_noise=0.1))
+    doc = json.loads(json.dumps(scene_to_dict(ds.scenes[0], ds.class_map)))
+    target = tmp_path_factory.mktemp("fuzz") / "scene.json"
+    return doc, sorted(json_paths(doc), key=repr), target
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_any_single_field_edit_parses_or_is_rejected(fuzz_base, data):
+    base, paths, scene_file = fuzz_base
+    doc = copy.deepcopy(base)
+    target, key = holder(doc, data.draw(st.sampled_from(paths), label="path"))
+    if data.draw(st.booleans(), label="delete"):
+        del target[key]
+    else:
+        target[key] = data.draw(json_values, label="value")
+    scene_file.write_text(json.dumps(doc))
+    try:
+        assert isinstance(parse_dataset(scene_file), Dataset)
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_malformed_json_is_a_parse_error(tmp_path):
@@ -346,59 +448,6 @@ def test_labels_sorted_by_track_within_file(tmp_path):
     assert len(lines) == 2
     a_center = (10.0 + 20.0) / 2 / 1600.0
     assert float(lines[0].split()[1]) == pytest.approx(a_center, abs=1e-6)
-
-
-# --------------------------------------------------------- detection sets
-
-
-def detection_file(tmp_path, payload):
-    path = tmp_path / "detections.json"
-    path.write_text(payload)
-    return path
-
-
-def test_parse_detection_set_singleton(tmp_path):
-    doc = json.dumps(
-        [{"center": [1.0, 2.0, 0.5], "size": [4.0, 2.0, 1.5], "yaw": 0.0, "score": 0.9}]
-    )
-    boxes = parse_detection_set(detection_file(tmp_path, doc))
-    assert len(boxes) == 1
-    box = boxes[0]
-    assert box.center == (1.0, 2.0, 0.5)
-    assert box.size == (4.0, 2.0, 1.5)
-    assert box.score == 0.9
-
-
-def test_parse_detection_set_rejects_bad_size(tmp_path):
-    doc = json.dumps(
-        [{"center": [0, 0, 0], "size": [-1.0, 2.0, 1.0], "yaw": 0.0, "score": 0.5}]
-    )
-    with pytest.raises(ValidationError):
-        parse_detection_set(detection_file(tmp_path, doc))
-
-
-@pytest.mark.parametrize("field,value", [
-    ("center", [0.0, math.nan, 0.0]),
-    ("size", [4.0, math.inf, 1.5]),
-    ("yaw", -math.inf),
-    ("score", math.nan),
-])
-def test_parse_detection_set_rejects_non_finite_numbers(tmp_path, field, value):
-    record = {"center": [0, 0, 0], "size": [4.0, 2.0, 1.5], "yaw": 0.0, "score": 0.5}
-    record[field] = value
-    # json writes and reads the bare NaN and Infinity tokens
-    doc = json.dumps([record])
-    with pytest.raises(ValidationError, match="must be finite"):
-        parse_detection_set(detection_file(tmp_path, doc))
-
-
-def test_parse_detection_set_empty_is_valid(tmp_path):
-    assert parse_detection_set(detection_file(tmp_path, "[]")) == ()
-
-
-def test_parse_detection_set_needs_a_list(tmp_path):
-    with pytest.raises((ParseError, ValidationError)):
-        parse_detection_set(detection_file(tmp_path, '{"center": [0,0,0]}'))
 
 
 # ------------------------------------------------------------- resolve_box

@@ -17,7 +17,6 @@ from redkit.multimodal import (
     distance_prune,
     distance_ttest,
     lost_ratio,
-    match_boxes,
     match_frame,
     pooled_sweep,
     redundancy_ratio,
@@ -33,53 +32,6 @@ def cube(x, y=0.0, z=0.0, size=(1.0, 1.0, 1.0)):
 
 def scored(x, y=0.0, z=0.0, size=(1.0, 1.0, 1.0)):
     return Box3D((x, y, z), size, 0.0, score=0.9)
-
-
-# ---------------------------------------------------------------- matching
-
-
-def test_identical_sets_match_perfectly():
-    boxes = [cube(0.0), cube(10.0), cube(-7.0)]
-    result = match_boxes(boxes, list(boxes), theta=0.5)
-    assert len(result.pairs) == 3
-    assert all(iou == 1.0 for _, _, iou in result.pairs)
-    assert result.unmatched_base == ()
-    assert result.unmatched_lidar == ()
-
-
-def test_disjoint_sets_match_nothing():
-    result = match_boxes([cube(0.0)], [cube(100.0)], theta=0.5)
-    assert result.pairs == ()
-    assert result.unmatched_base == (0,)
-    assert result.unmatched_lidar == (0,)
-
-
-def test_greedy_assignment_prefers_higher_iou():
-    target = cube(0.0)
-    strong = cube(0.0, size=(0.8, 1.0, 1.0))   # iou 0.8 against target
-    weak = cube(0.0, size=(0.6, 1.0, 1.0))     # iou 0.6 against target
-    result = match_boxes([strong, weak], [target], theta=0.5)
-    assert len(result.pairs) == 1
-    bi, li, iou = result.pairs[0]
-    assert (bi, li) == (0, 0)
-    assert iou == pytest.approx(0.8, abs=1e-12)
-    assert result.unmatched_base == (1,)
-
-
-def test_matching_indices_are_unique():
-    base = [cube(0.0), cube(0.3), cube(0.6)]
-    lidar = [cube(0.15), cube(0.45)]
-    result = match_boxes(base, lidar, theta=0.1)
-    base_idx = [bi for bi, _, _ in result.pairs]
-    lidar_idx = [li for _, li, _ in result.pairs]
-    assert len(set(base_idx)) == len(base_idx)
-    assert len(set(lidar_idx)) == len(lidar_idx)
-
-
-def test_matching_respects_theta():
-    shifted = cube(0.5)  # iou 1/3 against the unit cube at the origin
-    assert match_boxes([cube(0.0)], [shifted], theta=0.5).pairs == ()
-    assert len(match_boxes([cube(0.0)], [shifted], theta=0.3).pairs) == 1
 
 
 # ---------------------------------------------------------------- ratios
@@ -263,27 +215,10 @@ def plain_reach(base, lidar, theta):
     )
 
 
-def plain_pairs(base, lidar, theta):
-    """Greedy best-first assignment over every pair, unscreened."""
-    scored_pairs = sorted(
-        (-iou3d(b, l), bi, li)
-        for bi, b in enumerate(base) for li, l in enumerate(lidar)
-        if iou3d(b, l) >= theta
-    )
-    used_base, used_lidar, pairs = set(), set(), []
-    for neg, bi, li in scored_pairs:
-        if bi not in used_base and li not in used_lidar:
-            used_base.add(bi)
-            used_lidar.add(li)
-            pairs.append((bi, li, -neg))
-    return tuple(pairs)
-
-
 def check_screen(base, lidar, theta):
     match = match_frame(base, lidar, theta)
     assert match.reach == plain_reach(base, lidar, theta)
     assert match.rr == brute_force_rr(base, lidar, theta)
-    assert match_boxes(base, lidar, theta).pairs == plain_pairs(base, lidar, theta)
 
 
 @st.composite
@@ -369,8 +304,7 @@ def test_screen_passes_nan_centres_to_the_clip(iou3d_calls):
         for theta in (5e-324, 0.5):
             iou3d_calls.clear()
             check_screen(base, lidar, theta)
-            # once from match_frame, once from match_boxes
-            assert iou3d_calls == [clipped, clipped]
+            assert iou3d_calls == [clipped]
 
 
 def test_screen_agrees_with_brute_force_on_synth_frames():

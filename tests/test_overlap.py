@@ -149,6 +149,13 @@ def test_graph_adjacency_is_symmetric():
     assert graph.adjacency["CAM_FRONT"] == frozenset({"CAM_FRONT_LEFT", "CAM_FRONT_RIGHT"})
 
 
+@pytest.mark.parametrize("min_overlap", [-1.0, math.nan])
+def test_graph_rejects_negative_or_nan_min_overlap(min_overlap):
+    # NaN fails every comparison, so it would make every pair a non-edge
+    with pytest.raises(ValueError, match="min_overlap must be nonnegative"):
+        build_overlap_graph(nuscenes_like_cameras(), min_overlap=min_overlap)
+
+
 def test_graph_requires_two_cameras_and_unique_names():
     with pytest.raises(ValueError):
         build_overlap_graph([camera_at_yaw("A", 0.0)])

@@ -9,6 +9,7 @@ runs on identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -27,7 +28,12 @@ from .ingest import (
 )
 from .multimodal import distance_ttest, match_frame, pooled_sweep
 from .multisource import group_stats, overlap_similarity, prune_dataset, sweep_tau
-from .overlap import OverlapGraph, build_overlap_graph, preset_nuscenes
+from .overlap import (
+    OverlapGraph,
+    build_overlap_graph,
+    check_min_overlap,
+    preset_nuscenes,
+)
 from .synth import SynthParams, generate_scene, nuscenes_like_cameras
 
 OUTPUT_DIR_ENV = "REDKIT_OUTPUT_DIR"
@@ -69,6 +75,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _build_graphs(dataset: Dataset, args: argparse.Namespace
                   ) -> dict[str, OverlapGraph]:
     if args.overlap_mode == "preset-nuscenes":
+        # the preset has no use for --min-overlap, but the report echoes it
+        check_min_overlap(args.min_overlap)
         g = preset_nuscenes()
         return {s.scene_id: g for s in dataset.scenes}
     if args.overlap_mode == "calibration":
@@ -92,7 +100,7 @@ def cmd_audit(args: argparse.Namespace) -> Path:
     """Inventory a dataset: overlap graph, group counts, completeness
     histogram, and (when images are available) the crop-similarity prescreen.
     """
-    dataset = parse_dataset(args.dataset)
+    dataset = parse_dataset(args.dataset, parts=("annotations",))
     graphs = _build_graphs(dataset, args)
     out = _out_dir(args)
     report = {
@@ -126,7 +134,7 @@ def cmd_audit(args: argparse.Namespace) -> Path:
 
 def cmd_prune(args: argparse.Namespace) -> Path:
     """Prune at one threshold and emit the surviving labels."""
-    dataset = parse_dataset(args.dataset)
+    dataset = parse_dataset(args.dataset, parts=("annotations",))
     graphs = _build_graphs(dataset, args)
     out = _out_dir(args)
     kept, row = prune_dataset(
@@ -145,7 +153,7 @@ def cmd_prune(args: argparse.Namespace) -> Path:
 
 def cmd_sweep(args: argparse.Namespace) -> Path:
     """Prune at a list of thresholds and tabulate the counts as CSV."""
-    dataset = parse_dataset(args.dataset)
+    dataset = parse_dataset(args.dataset, parts=("annotations",))
     graphs = _build_graphs(dataset, args)
     out = _out_dir(args)
     rows = sweep_tau(dataset, graphs, args.taus, args.label_source,
@@ -172,7 +180,7 @@ def cmd_sweep(args: argparse.Namespace) -> Path:
 
 def cmd_mm(args: argparse.Namespace) -> Path:
     """Cross-modal analysis: per-frame redundancy, distance sweep, t-test."""
-    dataset = parse_dataset(args.dataset)
+    dataset = parse_dataset(args.dataset, parts=("detection_sets",))
     out = _out_dir(args)
 
     frames = []
@@ -418,8 +426,19 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call in this process uses, built once.
+
+    Parsing leaves a parser unchanged: each call starts from a fresh
+    namespace, ``append`` copies its default list before appending, and help
+    text reads the terminal width when it is printed.
+    """
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     env_out = os.environ.get(OUTPUT_DIR_ENV)
     if env_out:
         # the variable is a prefix: relative --out paths land under it, and

@@ -29,7 +29,8 @@ The canonical on-disk form is one JSON document per scene:
 ``cuboid``, ``boxes2d`` and ``detection_sets`` are optional; an annotation
 must carry a cuboid, native 2D boxes, or both. A dataset directory holds one
 such file per scene; ``parse(write(dataset))`` round-trips every field
-bit-exactly.
+bit-exactly. A caller that reads only some per-frame parts (``annotations``,
+``detection_sets``) can ask :func:`parse_dataset` to build only those.
 
 Grayscale images use binary PGM (P5, maxval 255). Label emission writes one
 text file per frame and camera in the normalized ``class x y w h`` format.
@@ -49,6 +50,8 @@ import numpy as np
 from .geometry import Box2D, Box3D, CameraModel, Cuboid3D, project_cuboid
 
 LABEL_SOURCES = ("native-2d", "projected-3d")
+# the per-frame parts whose records parse_dataset can build or leave out
+FRAME_PARTS = ("annotations", "detection_sets")
 
 
 class ParseError(ValueError):
@@ -217,13 +220,24 @@ def _reraise(exc: Exception, ctx: str) -> NoReturn:
     raise kind(f"{ctx}: {exc}") from None
 
 
+_NUMBER_TYPES = frozenset((int, float))
+_BOX_KEYS = ("x0", "y0", "x1", "y1")
+
+
+def _not_a_number(value: Any, what: str, ctx: str) -> NoReturn:
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    raise ParseError(f"{ctx}: {what} must be a number, got {got}")
+
+
 def _vec(value: Any, n: int, what: str, ctx: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ParseError(f"{ctx}: expected a {n}-vector, got {value!r}")
+    # float() would also take "1.5" and true
+    if not _NUMBER_TYPES.issuperset(map(type, value)):
+        _not_a_number(next(v for v in value if type(v) not in _NUMBER_TYPES),
+                      f"{what} entry", ctx)
     try:
         vec = tuple(map(float, value))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{ctx}: non-numeric vector entry ({exc})") from None
     except OverflowError:
         vec = tuple(_finite(v, what, ctx) for v in value)  # raises, naming ``what``
     if not all(map(math.isfinite, vec)):
@@ -232,8 +246,10 @@ def _vec(value: Any, n: int, what: str, ctx: str) -> tuple[float, ...]:
 
 
 def _finite(value: Any, what: str, ctx: str) -> float:
-    """``value`` as a float; NaN, infinities and integers too large for a
-    float are rejected."""
+    """``value`` as a float if it is a JSON number; strings, booleans, NaN,
+    infinities and integers too large for a float are rejected."""
+    if type(value) not in _NUMBER_TYPES:
+        _not_a_number(value, what, ctx)
     try:
         number = float(value)
     except OverflowError:
@@ -328,16 +344,18 @@ def _parse_annotation(obj: Any, camera_names: frozenset[str],
             raise ValidationError(f"{c}: 2D box names unknown camera {cam_name!r}")
         bc = f"{c} box in {cam_name!r}"
         _typed(box, dict, "box", bc)
+        coords = (_ctx_get(box, "x0", bc), _ctx_get(box, "y0", bc),
+                  _ctx_get(box, "x1", bc), _ctx_get(box, "y1", bc))
+        if not _NUMBER_TYPES.issuperset(map(type, coords)):
+            # float() would take "1.5" and true; it rejects the other types
+            for key, value in zip(_BOX_KEYS, coords):
+                if isinstance(value, (str, bool)):
+                    _not_a_number(value, key, bc)
         try:
-            parsed = Box2D(
-                float(_ctx_get(box, "x0", bc)),
-                float(_ctx_get(box, "y0", bc)),
-                float(_ctx_get(box, "x1", bc)),
-                float(_ctx_get(box, "y1", bc)),
-            )
+            parsed = Box2D(*map(float, coords))
         except OverflowError:
             # raises, naming the coordinate
-            parsed = Box2D(*(_finite(box[k], k, bc) for k in ("x0", "y0", "x1", "y1")))
+            parsed = Box2D(*(_finite(v, k, bc) for k, v in zip(_BOX_KEYS, coords)))
         except (TypeError, ValueError) as exc:
             _reraise(exc, bc)
         if not all(map(math.isfinite, (parsed.x0, parsed.y0, parsed.x1, parsed.y1))):
@@ -352,7 +370,8 @@ def _parse_annotation(obj: Any, camera_names: frozenset[str],
     return Annotation(track_id=track_id, category=category, cuboid=cuboid, boxes2d=boxes2d)
 
 
-def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str) -> tuple[Scene, dict[str, int]]:
+def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str,
+                 parts: frozenset[str]) -> tuple[Scene, dict[str, int]]:
     if not isinstance(doc, Mapping):
         raise ParseError(f"{ctx}: top level must be an object")
     scene_id = _file_name_part(_ctx_get(doc, "scene_id", ctx), "scene_id", ctx)
@@ -392,35 +411,47 @@ def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str) -> tu
             raise ValidationError(f"{fctx}: timestamps must be strictly increasing")
         prev_ts = ts
         annotations = []
-        seen_tracks = set()
         raw_annotations = _typed(fobj.get("annotations", []), list, "annotations", fctx)
-        for j, aobj in enumerate(raw_annotations):
-            _typed(aobj, dict, f"annotation {j}", fctx)
-            ann = _parse_annotation(aobj, camera_names, class_map, fctx)
-            if ann.track_id in seen_tracks:
-                raise ValidationError(
-                    f"{fctx}: duplicate track_id {ann.track_id!r}"
-                )
-            seen_tracks.add(ann.track_id)
-            annotations.append(ann)
+        if "annotations" in parts:
+            seen_tracks = set()
+            for j, aobj in enumerate(raw_annotations):
+                _typed(aobj, dict, f"annotation {j}", fctx)
+                ann = _parse_annotation(aobj, camera_names, class_map, fctx)
+                if ann.track_id in seen_tracks:
+                    raise ValidationError(
+                        f"{fctx}: duplicate track_id {ann.track_id!r}"
+                    )
+                seen_tracks.add(ann.track_id)
+                annotations.append(ann)
         detection_sets = {}
         raw_sets = _typed(fobj.get("detection_sets") or {}, dict, "detection_sets", fctx)
         for set_name, records in raw_sets.items():
             dctx = f"{fctx} detection set {set_name!r}"
-            detection_sets[set_name] = tuple(
-                _parse_detection(r, dctx)
-                for r in _typed(records, list, "detection set", dctx)
-            )
+            _typed(records, list, "detection set", dctx)
+            if "detection_sets" in parts:
+                detection_sets[set_name] = tuple(
+                    _parse_detection(r, dctx) for r in records)
         frames.append(Frame(ts, tuple(annotations), detection_sets))
     return Scene(scene_id, cameras, tuple(frames)), class_map
 
 
-def parse_dataset(path: str | Path) -> Dataset:
+def parse_dataset(path: str | Path, *,
+                  parts: Iterable[str] = FRAME_PARTS) -> Dataset:
     """Load a dataset from a scene file or a directory of scene files.
 
     A directory is read as all ``*.json`` files in name order. Scenes must
     agree on the class map and have unique scene ids.
+
+    ``parts`` names the per-frame parts (of :data:`FRAME_PARTS`) whose
+    records are built and checked. A part left out is still checked to be
+    a JSON array (``annotations``) or an object of arrays
+    (``detection_sets``), but the records inside are neither built nor
+    checked, and every frame holds it empty.
     """
+    parts = frozenset(parts)
+    if not parts <= frozenset(FRAME_PARTS):
+        raise ValueError(f"unknown frame parts {sorted(parts - set(FRAME_PARTS))}, "
+                         f"expected some of {FRAME_PARTS}")
     p = Path(path)
     if p.is_dir():
         files = sorted(p.glob("*.json"))
@@ -438,7 +469,11 @@ def parse_dataset(path: str | Path) -> Dataset:
             doc = json.loads(f.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{f}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-        scene, class_map = _parse_scene(doc, class_map, str(f))
+        except ValueError as exc:
+            # an integer literal past Python's digit limit, or bytes that are
+            # not UTF-8
+            raise ParseError(f"{f}: {exc}") from None
+        scene, class_map = _parse_scene(doc, class_map, str(f), parts)
         if scene.scene_id in seen_ids:
             raise ValidationError(f"{f}: duplicate scene_id {scene.scene_id!r}")
         seen_ids.add(scene.scene_id)

@@ -115,6 +115,13 @@ def overlap_arc(a: ViewArc, b: ViewArc) -> tuple[float, tuple[float, float]] | N
     return width, (start, start + width)
 
 
+def check_min_overlap(min_overlap: float) -> None:
+    """Raise ``ValueError`` unless ``min_overlap`` is nonnegative (NaN is
+    rejected)."""
+    if not min_overlap >= 0.0:
+        raise ValueError(f"min_overlap must be nonnegative, got {min_overlap}")
+
+
 def build_overlap_graph(cameras: Iterable[CameraModel],
                         min_overlap: float = 1.0) -> OverlapGraph:
     """Build the overlap graph of a rig from camera calibrations.
@@ -127,8 +134,7 @@ def build_overlap_graph(cameras: Iterable[CameraModel],
     Pairs are ordered lexicographically, both within each pair and across
     the list.
     """
-    if not min_overlap >= 0.0:
-        raise ValueError(f"min_overlap must be nonnegative, got {min_overlap}")
+    check_min_overlap(min_overlap)
     cams = sorted(cameras, key=lambda c: c.name)
     if len(cams) < 2:
         raise ValueError("an overlap graph needs at least two cameras")

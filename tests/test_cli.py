@@ -15,9 +15,9 @@ import pytest
 
 import redkit.cli
 from conftest import box_with_bcs, dataset_of, scene_with_boxes
-from redkit.cli import main
+from redkit.cli import build_parser, main
 from redkit.geometry import Box2D, Box3D, centroid_distance
-from redkit.ingest import Frame, Scene, parse_dataset, write_dataset
+from redkit.ingest import Frame, Scene, ValidationError, parse_dataset, write_dataset
 from redkit.multimodal import distance_prune
 from redkit.overlap import preset_nuscenes
 from redkit.synth import (
@@ -484,6 +484,107 @@ def test_prune_and_sweep_reject_nan_or_empty_thresholds(tmp_path, capsys, args):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("command,args", [
+    ("audit", []),
+    ("prune", ["--tau", "0.3"]),
+    ("sweep", ["--taus", "0.3"]),
+])
+def test_min_overlap_is_checked_in_every_overlap_mode(ring_dataset, tmp_path, capsys,
+                                                      command, args, value):
+    # the preset builds no graph; it used to echo the value, NaN included,
+    # into a report that was then not valid JSON
+    data_dir, _ = ring_dataset
+    errors = []
+    for mode in ("calibration", "preset-nuscenes"):
+        out = tmp_path / mode
+        assert run_cli(command, "--dataset", data_dir, "--out", out, *args,
+                       "--overlap-mode", mode, "--min-overlap", value) == 1
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "min_overlap must be nonnegative" in errors[0]
+
+
+def test_number_written_as_a_string_is_rejected(ring_dataset, tmp_path, capsys):
+    data_dir, _ = ring_dataset
+    edit_scene_file(data_dir, lambda doc: doc["cameras"][2]["intrinsics"]
+                    .update(fx="1266.4"))
+    out = tmp_path / "x"
+    assert run_cli("audit", "--dataset", data_dir, "--out", out) == 1
+    assert ("camera 'CAM_FRONT_RIGHT': fx must be a number, got a string"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_integer_past_the_digit_limit_names_the_file(ring_dataset, tmp_path, capsys):
+    data_dir, _ = ring_dataset
+    path = next(data_dir.glob("*.json"))
+    text = path.read_text()
+    assert '"timestamp_ns": 0' in text
+    path.write_text(text.replace('"timestamp_ns": 0', '"timestamp_ns": ' + "7" * 5000))
+    out = tmp_path / "x"
+    assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", "0.3") == 1
+    assert f"redkit prune: error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ------------------------------------------------- records a command reads
+
+
+def output_tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# one record of each part: mm reads only detection records, the other
+# commands only annotations
+RECORDS = {
+    "detection": (("frames", 1, "detection_sets", "lidar_only"), {"score": 2.0}),
+    "annotation": (("frames", 1, "annotations"), {"category": "no-such-class"}),
+}
+
+
+def records_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("record", sorted(RECORDS))
+@pytest.mark.parametrize("command,args", [
+    ("audit", []),
+    ("prune", ["--tau", "0.3"]),
+    ("sweep", ["--taus", "0.1,0.5"]),
+    ("mm", []),
+])
+def test_a_command_checks_the_records_it_reads_and_no_others(
+        ring_dataset, tmp_path, capsys, record, command, args):
+    data_dir, _ = ring_dataset
+    path, breakage = RECORDS[record]
+    without, broken = tmp_path / "without", tmp_path / "broken"
+    for copy, edit in ((without, lambda doc: records_at(doc, path).pop(0)),
+                       (broken, lambda doc: records_at(doc, path)[0].update(breakage))):
+        shutil.copytree(data_dir, copy)
+        edit_scene_file(copy, edit)
+    with pytest.raises(ValidationError):
+        parse_dataset(broken)
+
+    out_without, out_broken = tmp_path / "out-without", tmp_path / "out-broken"
+    assert run_cli(command, "--dataset", without, "--out", out_without, *args) == 0
+    err_without = capsys.readouterr().err
+    code = run_cli(command, "--dataset", broken, "--out", out_broken, *args)
+    err_broken = capsys.readouterr().err
+    if (command == "mm") == (record == "detection"):
+        assert code == 1
+        assert err_broken.startswith(f"redkit {command}: error: ")
+        assert not out_broken.exists()
+    else:
+        assert code == 0
+        assert err_broken == err_without
+        assert output_tree(out_broken) == output_tree(out_without)
+
+
 def with_tied_lidar_box(frame):
     """The frame plus a LiDAR box mirrored across the ego x axis: a second
     box at exactly the distance of the first."""
@@ -619,6 +720,74 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("REDKIT_OUTPUT_DIR", str(tmp_path / "env-root"))
     assert run_cli("sim", "--out", "nested", "--seed", 3) == 0
     assert (tmp_path / "env-root" / "nested").is_dir()
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, tmp_path):
+    built = []
+    original = redkit.cli.build_parser
+    monkeypatch.setattr(redkit.cli, "build_parser",
+                        lambda: built.append(None) or original())
+    redkit.cli._shared_parser.cache_clear()
+    try:
+        for seed in (1, 2):
+            assert run_cli("sim", "--out", tmp_path / str(seed), "--seed", seed) == 0
+    finally:
+        redkit.cli._shared_parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_consecutive_main_calls_share_no_state(ring_dataset, tmp_path, monkeypatch,
+                                               capsys):
+    data_dir, _ = ring_dataset
+    prune = ["prune", "--dataset", data_dir, "--tau", "0.3"]
+
+    def report(name):
+        return (tmp_path / name / "prune_report.json").read_bytes()
+
+    # an appended option given, then absent
+    assert run_cli(*prune, "--out", tmp_path / "a",
+                   "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=0.1") == 0
+    assert run_cli(*prune, "--out", tmp_path / "b") == 0
+    assert json.loads(report("a"))["config"]["pair_taus"] == {
+        "CAM_FRONT:CAM_FRONT_RIGHT": 0.1}
+    assert json.loads(report("b"))["config"]["pair_taus"] == {}
+
+    # the output directory variable set, then unset
+    monkeypatch.setenv("REDKIT_OUTPUT_DIR", str(tmp_path / "env-root"))
+    assert run_cli("sim", "--out", "nested", "--seed", 3) == 0
+    assert (tmp_path / "env-root" / "nested").is_dir()
+    monkeypatch.delenv("REDKIT_OUTPUT_DIR")
+    assert run_cli("sim", "--seed", 3) == 1
+    assert "no output directory" in capsys.readouterr().err
+
+    # a usage error after an appended option, then a valid run
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*prune, "--out", tmp_path / "c",
+                "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=0.1", "--tau", "high")
+    assert exc.value.code == 2
+    assert run_cli(*prune, "--out", tmp_path / "c") == 0
+    assert report("c") == report("b")
+
+
+def test_help_and_usage_errors_match_a_freshly_built_parser(monkeypatch, capsys):
+    argvs = [[*command, flag]
+             for command in ([], ["audit"], ["prune"], ["sweep"], ["mm"], ["sim"])
+             for flag in ("--help", "-h")]
+    argvs += [["prune", "--dataset", "d", "--tau", "high"], ["frobnicate"], []]
+    top_help = {}
+    for columns in ("200", "40", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in argvs:
+            seen = []
+            for parse in (main, build_parser().parse_args):
+                with pytest.raises(SystemExit) as exc:
+                    parse(argv)
+                seen.append((exc.value.code, *capsys.readouterr()))
+            assert seen[0] == seen[1], argv
+            if argv == ["--help"]:
+                top_help[columns] = seen[0]
+    # the width is read when help is printed, not when the parser is built
+    assert top_help["40"] != top_help["200"]
 
 
 def test_unknown_command_exits_with_usage_error():

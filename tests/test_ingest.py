@@ -283,6 +283,87 @@ def test_empty_embedded_detection_set_is_valid(tmp_path, minimal_scene_dict):
     assert frame.detection_sets == {"lidar_only": ()}
 
 
+@pytest.mark.parametrize("value", ["1266.4", " 1e1 ", True])
+@pytest.mark.parametrize("path,where", [
+    (("cameras", 1, "intrinsics", "fx"), "camera 'CAM_FRONT_RIGHT': fx"),
+    (("cameras", 1, "extrinsics", "translation", 0),
+     "camera 'CAM_FRONT_RIGHT': translation entry"),
+    (ANNOTATION + ("cuboid", "center", 1), "annotation 'track-1': center entry"),
+    (ANNOTATION + ("cuboid", "yaw"), "annotation 'track-1': yaw"),
+    (ANNOTATION + ("boxes2d", "CAM_FRONT", "x1"), "box in 'CAM_FRONT': x1"),
+    (("frames", 0, "detection_sets", "lidar_only", 0, "score"),
+     "detection set 'lidar_only': score"),
+])
+def test_numbers_written_as_strings_or_booleans_are_rejected(
+        tmp_path, minimal_scene_dict, path, where, value):
+    # float() reads "1266.4", " 1e1 " and true as numbers
+    doc = with_cuboid_and_detection(minimal_scene_dict)
+    target, key = holder(doc, path)
+    target[key] = value
+    got = "a string" if isinstance(value, str) else "a boolean"
+    with pytest.raises(ParseError, match=re.escape(f"{where} must be a number, got {got}")):
+        parse_dataset(write_scene(tmp_path, doc))
+
+
+def test_integers_past_the_digit_limit_are_parse_errors_naming_the_file(
+        tmp_path, minimal_scene_dict):
+    # json.loads raises a plain ValueError for an integer literal of more
+    # than 4300 digits (Python's integer string-conversion limit)
+    path = write_scene(tmp_path, minimal_scene_dict)
+    text = path.read_text()
+    assert '"timestamp_ns": 0' in text
+    path.write_text(text.replace('"timestamp_ns": 0', '"timestamp_ns": ' + "9" * 5000))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: ")):
+        parse_dataset(path)
+
+
+BOTH_PARTS = {"annotations", "detection_sets"}
+
+
+@pytest.mark.parametrize("path,value,part", [
+    (("frames", 0, "detection_sets", "lidar_only", 0, "score"), 2.0, "detection_sets"),
+    (("frames", 0, "detection_sets", "lidar_only", 0, "size", 0), "4", "detection_sets"),
+    (ANNOTATION + ("category",), "bus", "annotations"),
+    (ANNOTATION + ("boxes2d", "CAM_FRONT", "y1"), math.nan, "annotations"),
+])
+def test_only_the_parses_that_build_a_record_check_it(tmp_path, minimal_scene_dict,
+                                                      path, value, part):
+    good = with_cuboid_and_detection(minimal_scene_dict)
+    bad = copy.deepcopy(good)
+    target, key = holder(bad, path)
+    target[key] = value
+    good_file = write_scene(tmp_path, good, "good.json")
+    bad_file = write_scene(tmp_path, bad, "bad.json")
+    for parts in (BOTH_PARTS, {part}):
+        with pytest.raises((ParseError, ValidationError)):
+            parse_dataset(bad_file, parts=parts)
+    # the other part is built as from the valid scene; this one is left empty
+    other = BOTH_PARTS - {part}
+    selective = parse_dataset(bad_file, parts=other)
+    assert selective == parse_dataset(good_file, parts=other)
+    assert not getattr(selective.scenes[0].frames[0], part)
+
+
+@pytest.mark.parametrize("parts", [(), ("annotations",), ("detection_sets",)])
+@pytest.mark.parametrize("path,value,where", [
+    (("frames", 0, "annotations"), {"track-1": {}}, "frame 0: annotations must be an array"),
+    (("frames", 0, "detection_sets"), ["lidar_only"], "frame 0: detection_sets must be"),
+    (("frames", 0, "detection_sets"), {"lidar_only": {}}, "'lidar_only': detection set must"),
+])
+def test_parts_left_out_keep_their_container_checks(tmp_path, minimal_scene_dict,
+                                                    parts, path, value, where):
+    doc = with_cuboid_and_detection(minimal_scene_dict)
+    target, key = holder(doc, path)
+    target[key] = value
+    with pytest.raises(ParseError, match=re.escape(where)):
+        parse_dataset(write_scene(tmp_path, doc), parts=parts)
+
+
+def test_unknown_frame_part_is_rejected(tmp_path, minimal_scene_dict):
+    with pytest.raises(ValueError, match="cuboids"):
+        parse_dataset(write_scene(tmp_path, minimal_scene_dict), parts=("cuboids",))
+
+
 def json_paths(doc, prefix=()):
     """The path of every value inside ``doc``, the root excluded."""
     keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
@@ -334,6 +415,31 @@ def test_any_single_field_edit_parses_or_is_rejected(fuzz_base, data):
         assert isinstance(parse_dataset(scene_file), Dataset)
     except (ParseError, ValidationError):
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_selective_parse_accepts_what_the_full_parse_accepts(fuzz_base, data):
+    base, paths, scene_file = fuzz_base
+    doc = copy.deepcopy(base)
+    target, key = holder(doc, data.draw(st.sampled_from(paths), label="path"))
+    target[key] = data.draw(json_values, label="value")
+    scene_file.write_text(json.dumps(doc))
+    try:
+        full = parse_dataset(scene_file)
+    except (ParseError, ValidationError):
+        full = None
+    for part, left_out in (("annotations", "detection_sets"),
+                           ("detection_sets", "annotations")):
+        try:
+            selective = parse_dataset(scene_file, parts=(part,))
+        except (ParseError, ValidationError):
+            assert full is None
+            continue
+        if full is not None:
+            for want, got in zip(full.scenes[0].frames, selective.scenes[0].frames):
+                assert getattr(got, part) == getattr(want, part)
+                assert not getattr(got, left_out)
 
 
 def test_malformed_json_is_a_parse_error(tmp_path):

@@ -1,12 +1,14 @@
 """Cross-camera duplicate labels and threshold pruning.
 
-Generates a synthetic surround-view scene, forms per-object redundancy
-groups in camera-overlap regions, prunes at one threshold, and then sweeps
-the threshold to show the deletion/retention trade-off. Track counts stay
-constant because the most complete observation of every object survives.
+Generates a synthetic surround-view scene, counts the per-object redundancy
+groups in camera-overlap regions per camera pair, histograms the
+completeness (BCS) scores of their members, prunes at one threshold, and
+then sweeps the threshold to show the deletion/retention trade-off. Track
+counts stay constant because the most complete observation of every object
+survives.
 """
 
-from redkit.multisource import form_groups, prune_dataset, sweep_tau
+from redkit.multisource import group_stats, prune_dataset, sweep_tau
 from redkit.overlap import build_overlap_graph
 from redkit.synth import SynthParams, generate_scene, nuscenes_like_cameras
 
@@ -20,14 +22,18 @@ def main():
     total = sum(len(a.boxes2d) for f in scene.frames for a in f.annotations)
     print(f"scene {scene.scene_id}: {len(scene.frames)} frames, {total} 2D labels")
 
-    groups = form_groups(scene.frames[0], scene.camera_map, graph)
-    print(f"\nredundancy groups in frame 0 ({len(groups)} groups):")
-    for group in groups:
-        obs = ", ".join(
-            f"{o.camera}={o.bcs:.3f}" for o in
-            sorted(group.observations, key=lambda o: -o.bcs)
-        )
-        print(f"  {group.track_id}: {obs}")
+    stats = group_stats(dataset, graph)
+    print(f"\nredundancy groups: {stats['label_totals']['groups']} over all frames")
+    print("groups per overlapping camera pair:")
+    for pair, count in stats["per_pair_group_counts"].items():
+        print(f"  {pair}: {count}")
+    print("BCS of the grouped observations:")
+    edges = stats["bcs_histogram"]["bin_edges"]
+    for lo, hi, count in zip(edges, edges[1:], stats["bcs_histogram"]["counts"]):
+        if count:
+            # a score of exactly 1 falls in the last bin
+            close = "]" if hi == edges[-1] else ")"
+            print(f"  [{lo:.2f}, {hi:.2f}{close} {'#' * count} {count}")
 
     tau = 0.3
     kept, row = prune_dataset(dataset, graph, tau)

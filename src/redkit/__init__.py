@@ -51,16 +51,13 @@ from .multimodal import (
 )
 from .multisource import (
     Observation,
-    PruneDecision,
     RedundancyGroup,
     SweepRow,
     cosine_similarity,
     crop_overlap,
-    form_groups,
     group_stats,
     overlap_similarity,
     prune_dataset,
-    prune_group,
     sweep_tau,
 )
 
@@ -105,7 +102,6 @@ __all__ = [
     "OverlapGraph",
     "OverlapPair",
     "ParseError",
-    "PruneDecision",
     "RedundancyGroup",
     "Scene",
     "SweepRow",
@@ -126,7 +122,6 @@ __all__ = [
     "distance_prune",
     "distance_ttest",
     "emit_labels",
-    "form_groups",
     "generate_scene",
     "group_stats",
     "horizontal_fov",
@@ -142,7 +137,6 @@ __all__ = [
     "preset_nuscenes",
     "project_cuboid",
     "prune_dataset",
-    "prune_group",
     "redundancy_ratio",
     "serialize_pgm",
     "sweep_distance",

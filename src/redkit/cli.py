@@ -64,12 +64,12 @@ def _echo(args: argparse.Namespace) -> dict:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """The output directory, not yet created: a command creates it only
+    after every check that can fail, so a failed run leaves none behind."""
     if args.out is None:
         raise ValidationError("no output directory: pass --out or set "
                               f"{OUTPUT_DIR_ENV}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out)
 
 
 def _build_graphs(dataset: Dataset, args: argparse.Namespace
@@ -125,6 +125,7 @@ def cmd_audit(args: argparse.Namespace) -> Path:
         **group_stats(dataset, graphs, args.label_source),
         "cosine_similarity": overlap_similarity(dataset, graphs, args.images),
     }
+    out.mkdir(parents=True, exist_ok=True)
     return _write_json(out / "audit.json", report)
 
 
@@ -139,7 +140,8 @@ def cmd_prune(args: argparse.Namespace) -> Path:
     out = _out_dir(args)
     kept, row = prune_dataset(
         dataset, graphs, args.tau, args.label_source, dict(args.pair_tau))
-    files = emit_labels(dataset, kept, out / "labels", args.label_source)
+    # creates out/labels, and with it out, once every label file is formatted
+    files = emit_labels(dataset, kept, out / "labels")
     report = {
         "config": _echo(args),
         "tau": row.tau,
@@ -162,6 +164,7 @@ def cmd_sweep(args: argparse.Namespace) -> Path:
     lines += [
         f"{r.tau:.6f},{r.deleted},{r.remaining},{r.tracks}" for r in rows
     ]
+    out.mkdir(parents=True, exist_ok=True)
     target = out / "sweep.csv"
     target.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     if args.emit_plot_data:
@@ -221,6 +224,7 @@ def cmd_mm(args: argparse.Namespace) -> Path:
 
     csv_lines = ["t_dist,pruned_count,lost_ratio"]
     csv_lines += [f"{r.t_dist:.6f},{r.pruned_count},{r.lost_ratio:.6f}" for r in rows]
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "mm_sweep.csv"
     csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8", newline="\n")
     if args.emit_plot_data:

@@ -601,52 +601,57 @@ def resolve_box(annotation: Annotation, cam: CameraModel, source: str
     raise ValueError(f"unknown label source {source!r}, expected one of {LABEL_SOURCES}")
 
 
-def emit_labels(dataset: Dataset, kept: set[tuple[str, int, str, str]],
-                out_dir: str | Path, source: str = "native-2d") -> list[Path]:
+def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D],
+                out_dir: str | Path) -> list[Path]:
     """Write one normalized label file per frame and camera.
 
-    ``kept`` holds ``(scene_id, timestamp_ns, camera, track_id)`` keys; every
-    key must resolve to a box under ``source``. Lines are
+    ``kept`` maps ``(scene_id, timestamp_ns, camera, track_id)`` keys to
+    their boxes clipped to the image, as
+    :func:`redkit.multisource.prune_dataset` returns them. Lines are
     ``class_id xc yc w h`` with center/size normalized by the image
     dimensions, six decimals, LF endings, sorted by track id. Frames with no
-    kept boxes in a camera still get their (empty) file.
+    kept boxes in a camera still get their (empty) file. Every file is
+    formatted, and its name checked against the others, before ``out_dir``
+    is created and the first one written.
     """
+    kept_index: dict[tuple[str, int, str], dict[str, Box2D]] = {}
+    for (scene_id, ts, camera, track_id), box in kept.items():
+        kept_index.setdefault((scene_id, ts, camera), {})[track_id] = box
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    kept_index: dict[tuple[str, int, str], list[str]] = {}
-    for scene_id, ts, camera, track_id in kept:
-        kept_index.setdefault((scene_id, ts, camera), []).append(track_id)
+    # file name -> the scene it is written for; scene ids and camera names
+    # may both contain "__", so two scenes can map to one name
+    owners: dict[str, str] = {}
+    files: list[tuple[Path, bytes]] = []
     for scene in dataset.scenes:
         for frame in scene.frames:
             by_track = {a.track_id: a for a in frame.annotations}
             for cam in scene.cameras:
-                tracks = kept_index.get((scene.scene_id, frame.timestamp_ns, cam.name), [])
+                tracks = kept_index.get((scene.scene_id, frame.timestamp_ns, cam.name), {})
                 lines = []
-                for track_id in sorted(tracks):
+                for track_id, box in sorted(tracks.items()):
                     ann = by_track.get(track_id)
                     if ann is None:
                         raise ValidationError(
                             f"kept key names unknown track {track_id!r} in frame "
                             f"{frame.timestamp_ns} of scene {scene.scene_id!r}"
                         )
-                    resolved = resolve_box(ann, cam, source)
-                    if resolved is None or resolved[1].area <= 0.0:
-                        raise ValidationError(
-                            f"kept key ({scene.scene_id!r}, {frame.timestamp_ns}, "
-                            f"{cam.name!r}, {track_id!r}) has no visible box under "
-                            f"source {source!r}"
-                        )
-                    lines.append(_format_label(
-                        dataset.class_map[ann.category], resolved[1], cam))
-                target = out / f"{scene.scene_id}__{frame.timestamp_ns}__{cam.name}.txt"
-                # binary mode: the lines are ASCII with LF endings already,
-                # and a text wrapper per file costs more than formatting them
-                with open(target, "wb") as fh:
-                    if lines:
-                        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-                written.append(target)
-    return written
+                    lines.append(_format_label(dataset.class_map[ann.category], box, cam))
+                name = f"{scene.scene_id}__{frame.timestamp_ns}__{cam.name}.txt"
+                if name in owners:
+                    raise ValidationError(
+                        f"label file {name!r} would be written for both scene "
+                        f"{owners[name]!r} and scene {scene.scene_id!r}"
+                    )
+                owners[name] = scene.scene_id
+                files.append((out / name, ("\n".join(lines) + "\n").encode("ascii")
+                              if lines else b""))
+    out.mkdir(parents=True, exist_ok=True)
+    for target, data in files:
+        # binary mode: the lines are ASCII with LF endings already, and a
+        # text wrapper per file costs more than formatting them
+        with open(target, "wb") as fh:
+            fh.write(data)
+    return [target for target, _ in files]
 
 
 def _format_label(class_id: int, clipped: Box2D, cam: CameraModel) -> str:

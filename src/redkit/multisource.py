@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import CameraModel, angle_to_column, bcs, horizontal_fov, \
     normalize_deg, yaw_center
 from .geometry import Box2D
-from .ingest import Dataset, Frame, GrayImage, parse_pgm, resolve_box
+from .ingest import Dataset, GrayImage, parse_pgm, resolve_box
 from .overlap import OverlapGraph
 
 # (scene_id, timestamp_ns, camera, track_id)
@@ -33,7 +33,6 @@ class Observation:
     """One camera's view of a grouped object."""
 
     camera: str
-    full: Box2D
     clipped: Box2D
     bcs: float
 
@@ -48,15 +47,6 @@ class RedundancyGroup:
 
 
 @dataclass(frozen=True)
-class PruneDecision:
-    """Outcome of pruning one group at one threshold."""
-
-    kept: tuple[tuple[str, str], ...]
-    removed: tuple[tuple[str, str], ...]
-    tau: float
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """Dataset-level label counts after pruning at one threshold."""
 
@@ -64,25 +54,6 @@ class SweepRow:
     deleted: int
     remaining: int
     tracks: int
-
-
-def form_groups(frame: Frame, cameras: Mapping[str, CameraModel],
-                graph: OverlapGraph, source: str = "native-2d"
-                ) -> list[RedundancyGroup]:
-    """Group a frame's observations by track across graph-connected cameras.
-
-    An observation exists where the annotation resolves to a box with
-    positive clipped area under ``source``. Observing cameras are split into
-    connected components of the overlap graph; every component with at least
-    two cameras becomes a group. Singleton observations stay ungrouped.
-    """
-    groups: list[RedundancyGroup] = []
-    for ann in frame.annotations:
-        _, components = _annotation_groups(ann, cameras, graph, source)
-        groups.extend(RedundancyGroup(frame.timestamp_ns, ann.track_id, members)
-                      for members in components)
-    groups.sort(key=lambda g: (g.track_id, g.observations[0].camera))
-    return groups
 
 
 def _annotation_groups(ann, cameras: Mapping[str, CameraModel],
@@ -103,6 +74,8 @@ def _annotation_groups(ann, cameras: Mapping[str, CameraModel],
 
 def _observations(ann, cameras: Mapping[str, CameraModel], source: str
                   ) -> list[Observation]:
+    """An observation exists where the annotation resolves to a box with
+    positive clipped area under ``source``."""
     obs = []
     if source == "native-2d":
         # only the cameras that actually carry a box; avoids a full rig scan
@@ -119,7 +92,7 @@ def _observations(ann, cameras: Mapping[str, CameraModel], source: str
         full, clipped = resolved
         if clipped.area <= 0.0:
             continue
-        obs.append(Observation(name, full, clipped, bcs(full, clipped)))
+        obs.append(Observation(name, clipped, bcs(full, clipped)))
     return obs
 
 
@@ -154,32 +127,16 @@ def _removed(observations: Sequence[Observation], tau: float) -> list[Observatio
     return [o for o in observations if anchor - o.bcs > tau]
 
 
-def prune_group(group: RedundancyGroup, tau: float) -> PruneDecision:
-    """Apply the max-anchored completeness rule to one group.
-
-    The highest score in the group is the anchor; an observation is removed
-    when its score falls more than ``tau`` below it. The anchor itself
-    always survives (ties resolve to the lexicographically first camera,
-    though every tied observation is kept anyway since its gap is zero).
-    """
-    if not tau >= 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    removed = _removed(group.observations, tau)
-    kept = [o for o in group.observations if o not in removed]
-    track = group.track_id
-    return PruneDecision(tuple((o.camera, track) for o in kept),
-                         tuple((o.camera, track) for o in removed), tau)
-
-
 # --------------------------------------------------------------------------
 # dataset-level pruning
 
 
 @dataclass
 class _DatasetIndex:
-    """One pass over a dataset: every label key plus the formed groups."""
+    """One pass over a dataset: every label's clipped box plus the formed
+    groups."""
 
-    all_keys: list[LabelKey]
+    labels: dict[LabelKey, Box2D]
     # (scene_id, group, graph for that scene)
     groups: list[tuple[str, RedundancyGroup, OverlapGraph]]
     track_label_counts: dict[tuple[str, str], int]
@@ -195,7 +152,7 @@ def _graph_for(graph: OverlapGraph | Mapping[str, OverlapGraph], scene_id: str
 def _index_dataset(dataset: Dataset,
                    graph: OverlapGraph | Mapping[str, OverlapGraph],
                    source: str) -> _DatasetIndex:
-    all_keys: list[LabelKey] = []
+    labels: dict[LabelKey, Box2D] = {}
     groups: list[tuple[str, RedundancyGroup, OverlapGraph]] = []
     track_label_counts: dict[tuple[str, str], int] = {}
     for scene in dataset.scenes:
@@ -214,11 +171,11 @@ def _index_dataset(dataset: Dataset,
                     track_label_counts.get(track_key, 0) + len(observations)
                 )
                 for o in observations:
-                    all_keys.append((sid, ts, o.camera, ann.track_id))
+                    labels[(sid, ts, o.camera, ann.track_id)] = o.clipped
                 groups.extend(
                     (sid, RedundancyGroup(ts, ann.track_id, members), scene_graph)
                     for members in components)
-    return _DatasetIndex(all_keys, groups, track_label_counts)
+    return _DatasetIndex(labels, groups, track_label_counts)
 
 
 def _normalize_pair_taus(pair_taus: Mapping | None, dataset: Dataset,
@@ -281,14 +238,14 @@ def _row_for(index: _DatasetIndex, tau: float, removed: list[LabelKey]) -> Sweep
         if removed_per_track.get(key, 0) < total
     )
     deleted = len(removed)
-    return SweepRow(tau, deleted, len(index.all_keys) - deleted, tracks)
+    return SweepRow(tau, deleted, len(index.labels) - deleted, tracks)
 
 
 def prune_dataset(dataset: Dataset,
                   graph: OverlapGraph | Mapping[str, OverlapGraph],
                   tau: float, source: str = "native-2d",
                   pair_taus: Mapping | None = None
-                  ) -> tuple[set[LabelKey], SweepRow]:
+                  ) -> tuple[dict[LabelKey, Box2D], SweepRow]:
     """Prune every redundancy group in a dataset at one threshold.
 
     Args:
@@ -302,8 +259,10 @@ def prune_dataset(dataset: Dataset,
             some scene's graph.
 
     Returns:
-        The kept label keys ``(scene_id, timestamp_ns, camera, track_id)``
-        and the count row for this threshold.
+        The kept labels, each key ``(scene_id, timestamp_ns, camera,
+        track_id)`` mapped to its box clipped to the image (what
+        :func:`redkit.ingest.emit_labels` writes), and the count row for
+        this threshold.
     """
     if not tau >= 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
@@ -311,8 +270,9 @@ def prune_dataset(dataset: Dataset,
     index = _index_dataset(dataset, graph, source)
     removed = _removed_keys(index, tau, overrides)
     row = _row_for(index, tau, removed)
-    kept = set(index.all_keys)
-    kept.difference_update(removed)
+    kept = index.labels
+    for key in removed:
+        del kept[key]
     return kept, row
 
 
@@ -361,7 +321,7 @@ def group_stats(dataset: Dataset,
                 pair_group_counts[key] = pair_group_counts.get(key, 0) + 1
     return {
         "label_totals": {
-            "labels": len(index.all_keys),
+            "labels": len(index.labels),
             "grouped_observations": grouped_obs,
             "groups": len(index.groups),
             "tracks": len(index.track_label_counts),

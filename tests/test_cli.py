@@ -246,6 +246,24 @@ def test_prune_pair_override_only_touches_that_pair(tmp_path):
     assert back_left != ""
 
 
+def test_label_files_sharing_a_name_fail_the_prune(tmp_path, capsys):
+    # scene "a" with camera "X__0__Y" and scene "a__0__X" with camera "Y"
+    # both name their label file a__0__X__0__Y.txt; one would overwrite
+    # the other
+    box = Box2D(10.0, 10.0, 20.0, 20.0)
+    scenes = [
+        scene_with_boxes([camera_at_yaw(cam, 0.0), camera_at_yaw("Z", 180.0)],
+                         [{"t": {cam: box}}], scene_id=scene_id)
+        for scene_id, cam in (("a", "X__0__Y"), ("a__0__X", "Y"))
+    ]
+    data_dir = tmp_path / "data"
+    write_dataset(dataset_of(*scenes), data_dir)
+    out = tmp_path / "pruned"
+    assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", "0.3") == 1
+    assert "'a__0__X__0__Y.txt'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["prune", "sweep"])
 @pytest.mark.parametrize("pair", ["X:Y", "CAM_FRONT:CAM_BACK"])
 def test_pair_override_that_names_no_edge_fails(tmp_path, capsys, command, pair):
@@ -256,9 +274,7 @@ def test_pair_override_that_names_no_edge_fails(tmp_path, capsys, command, pair)
     assert run_cli(command, "--dataset", data_dir, "--out", out, *threshold,
                    "--pair-tau", f"{pair}=0") == 1
     assert "names no overlapping camera pair" in capsys.readouterr().err
-    assert not (out / "prune_report.json").exists()
-    assert not (out / "labels").exists()
-    assert not (out / "sweep.csv").exists()
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------- sweep
@@ -368,6 +384,7 @@ def test_mm_rejects_negative_threshold(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
+    ["--theta", "nan"],
     ["--t-dist", "nan,5"],
     ["--t-dist", ""],
     ["--rr-split", "nan"],
@@ -379,7 +396,7 @@ def test_mm_rejects_nan_or_empty_settings(tmp_path, capsys, args):
     out = tmp_path / "x"
     assert run_cli("mm", "--dataset", data_dir, "--out", out, *args) == 1
     assert capsys.readouterr().err != ""
-    assert not (out / "mm_sweep.csv").exists()
+    assert not out.exists()
 
 
 def edit_scene_file(data_dir, edit):
@@ -479,9 +496,10 @@ def test_audit_names_the_box_with_a_nan_coordinate(tmp_path, capsys, ring_datase
 def test_prune_and_sweep_reject_nan_or_empty_thresholds(tmp_path, capsys, args):
     data_dir = known_gap_dataset(tmp_path)
     command, *rest = args
-    assert run_cli(command, "--dataset", data_dir, "--out", tmp_path / "x",
-                   *rest) == 1
+    out = tmp_path / "x"
+    assert run_cli(command, "--dataset", data_dir, "--out", out, *rest) == 1
     assert capsys.readouterr().err != ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "-1"])

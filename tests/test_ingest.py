@@ -485,7 +485,7 @@ def test_full_image_box_label_line(tmp_path):
         cams, [{"t0": {"CAM_FRONT": Box2D(0.0, 0.0, 1600.0, 900.0)}}]
     )
     ds = dataset_of(scene, class_map={"car": 0})
-    kept = {("scene-0", 0, "CAM_FRONT", "t0")}
+    kept = {("scene-0", 0, "CAM_FRONT", "t0"): Box2D(0.0, 0.0, 1600.0, 900.0)}
     emit_labels(ds, kept, tmp_path)
     lines = read_lines(tmp_path / "scene-0__0__CAM_FRONT.txt")
     assert lines == ["0 0.500000 0.500000 1.000000 1.000000"]
@@ -497,7 +497,7 @@ def test_quarter_box_label_line(tmp_path):
         cams, [{"t0": {"CAM_FRONT": Box2D(400.0, 225.0, 800.0, 450.0)}}]
     )
     ds = dataset_of(scene, class_map={"car": 3, "truck": 0, "pedestrian": 1, "cyclist": 2})
-    kept = {("scene-0", 0, "CAM_FRONT", "t0")}
+    kept = {("scene-0", 0, "CAM_FRONT", "t0"): Box2D(400.0, 225.0, 800.0, 450.0)}
     emit_labels(ds, kept, tmp_path)
     lines = read_lines(tmp_path / "scene-0__0__CAM_FRONT.txt")
     assert lines == ["3 0.375000 0.375000 0.250000 0.250000"]
@@ -509,7 +509,7 @@ def test_empty_label_files_are_emitted(tmp_path):
         cams, [{"t0": {"CAM_FRONT": Box2D(10.0, 10.0, 20.0, 20.0)}}]
     )
     ds = dataset_of(scene)
-    paths = emit_labels(ds, set(), tmp_path)
+    paths = emit_labels(ds, {}, tmp_path)
     assert len(paths) == 2
     for path in paths:
         assert path.exists()
@@ -519,11 +519,13 @@ def test_empty_label_files_are_emitted(tmp_path):
 def test_label_lines_are_five_normalized_fields(tmp_path):
     ds, _ = generate_scene(SynthParams(seed=9, n_objects=10, n_frames=2))
     all_keys = {
-        (scene.scene_id, frame.timestamp_ns, cam, ann.track_id)
+        (scene.scene_id, frame.timestamp_ns, cam.name, ann.track_id):
+            resolve_box(ann, cam, "native-2d")[1]
         for scene in ds.scenes
         for frame in scene.frames
         for ann in frame.annotations
-        for cam in ann.boxes2d
+        for cam in scene.cameras
+        if cam.name in ann.boxes2d
     }
     paths = emit_labels(ds, all_keys, tmp_path)
     total = 0
@@ -548,12 +550,35 @@ def test_labels_sorted_by_track_within_file(tmp_path):
         }],
     )
     ds = dataset_of(scene)
-    kept = {("scene-0", 0, "CAM_FRONT", "zz"), ("scene-0", 0, "CAM_FRONT", "aa")}
+    kept = {("scene-0", 0, "CAM_FRONT", "zz"): Box2D(30.0, 30.0, 40.0, 40.0),
+            ("scene-0", 0, "CAM_FRONT", "aa"): Box2D(10.0, 10.0, 20.0, 20.0)}
     emit_labels(ds, kept, tmp_path)
     lines = read_lines(tmp_path / "scene-0__0__CAM_FRONT.txt")
     assert len(lines) == 2
     a_center = (10.0 + 20.0) / 2 / 1600.0
     assert float(lines[0].split()[1]) == pytest.approx(a_center, abs=1e-6)
+
+
+def test_label_lines_format_the_kept_box(tmp_path):
+    # emission formats the box it is given; it does not resolve one again
+    cams = two_overlapping_cameras()
+    scene = scene_with_boxes(
+        cams, [{"t0": {"CAM_FRONT": Box2D(0.0, 0.0, 1600.0, 900.0)}}]
+    )
+    ds = dataset_of(scene, class_map={"car": 0})
+    kept = {("scene-0", 0, "CAM_FRONT", "t0"): Box2D(400.0, 225.0, 800.0, 450.0)}
+    emit_labels(ds, kept, tmp_path)
+    lines = read_lines(tmp_path / "scene-0__0__CAM_FRONT.txt")
+    assert lines == ["0 0.375000 0.375000 0.250000 0.250000"]
+
+
+def test_kept_key_naming_an_unknown_track_is_rejected(tmp_path):
+    cams = two_overlapping_cameras()
+    scene = scene_with_boxes(cams, [{"t0": {"CAM_FRONT": Box2D(10.0, 10.0, 20.0, 20.0)}}])
+    kept = {("scene-0", 0, "CAM_FRONT", "ghost"): Box2D(10.0, 10.0, 20.0, 20.0)}
+    with pytest.raises(ValidationError, match="unknown track 'ghost'"):
+        emit_labels(dataset_of(scene), kept, tmp_path / "labels")
+    assert not (tmp_path / "labels").exists()
 
 
 # ------------------------------------------------------------- resolve_box

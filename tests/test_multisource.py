@@ -5,16 +5,13 @@ import pytest
 
 from conftest import box_with_bcs, dataset_of, scene_with_boxes
 from redkit.geometry import Box2D
-from redkit.ingest import Frame, GrayImage
+from redkit.ingest import Frame, GrayImage, Scene, resolve_box
 from redkit.multisource import (
-    Observation,
-    RedundancyGroup,
+    _index_dataset,
     cosine_similarity,
     crop_overlap,
-    form_groups,
     group_stats,
     prune_dataset,
-    prune_group,
     sweep_tau,
 )
 from redkit.overlap import preset_nuscenes
@@ -37,12 +34,20 @@ def frame_with(tracks):
     return Frame(timestamp_ns=0, annotations=annotations)
 
 
+def groups_in(frame):
+    """The redundancy groups the grouping index forms for one frame on the
+    six-camera rig, in index order."""
+    scene = Scene(scene_id="s", cameras=tuple(RING.values()), frames=(frame,))
+    index = _index_dataset(dataset_of(scene), GRAPH, "native-2d")
+    return [group for _, group, _ in index.groups]
+
+
 # ---------------------------------------------------------------- grouping
 
 
 def test_pair_observation_forms_one_group():
     frame = frame_with({"obj": ["CAM_FRONT", "CAM_FRONT_RIGHT"]})
-    groups = form_groups(frame, RING, GRAPH)
+    groups = groups_in(frame)
     assert len(groups) == 1
     group = groups[0]
     assert group.track_id == "obj"
@@ -53,18 +58,18 @@ def test_pair_observation_forms_one_group():
 
 def test_single_camera_observation_is_not_grouped():
     frame = frame_with({"obj": ["CAM_FRONT"]})
-    assert form_groups(frame, RING, GRAPH) == []
+    assert groups_in(frame) == []
 
 
 def test_nonadjacent_cameras_do_not_group():
     # front and back share no overlap arc, so the pair cannot be redundant
     frame = frame_with({"obj": ["CAM_FRONT", "CAM_BACK"]})
-    assert form_groups(frame, RING, GRAPH) == []
+    assert groups_in(frame) == []
 
 
 def test_transitive_chain_groups_three_cameras():
     frame = frame_with({"obj": ["CAM_FRONT_LEFT", "CAM_FRONT", "CAM_FRONT_RIGHT"]})
-    groups = form_groups(frame, RING, GRAPH)
+    groups = groups_in(frame)
     assert len(groups) == 1
     assert len(groups[0].observations) == 3
 
@@ -75,7 +80,7 @@ def test_disconnected_cameras_split_into_components():
     frame = frame_with(
         {"obj": ["CAM_FRONT", "CAM_FRONT_LEFT", "CAM_BACK", "CAM_BACK_RIGHT"]}
     )
-    groups = form_groups(frame, RING, GRAPH)
+    groups = groups_in(frame)
     assert len(groups) == 2
     sizes = sorted(len(g.observations) for g in groups)
     assert sizes == [2, 2]
@@ -92,63 +97,74 @@ def test_offscreen_boxes_do_not_join_groups():
         },
     )
     frame = Frame(timestamp_ns=0, annotations=(ann,))
-    assert form_groups(frame, RING, GRAPH) == []
+    assert groups_in(frame) == []
 
 
 # ----------------------------------------------------------------- pruning
 
 
-def group_of(scores):
-    observations = tuple(
-        Observation(camera=f"CAM_{i:02d}", full=BOX, clipped=BOX, bcs=s)
-        for i, s in enumerate(scores)
-    )
-    return RedundancyGroup(frame=0, track_id="t", observations=observations)
+# a chain of overlapping cameras: each is an overlap edge with the next
+CHAIN = ("CAM_FRONT", "CAM_FRONT_RIGHT", "CAM_BACK_RIGHT", "CAM_BACK")
 
 
-def cams_of(pairs):
-    return sorted(camera for camera, _ in pairs)
+def group_dataset(scores):
+    """One track seen along ``CHAIN``, forming a single group; the box in
+    ``CHAIN[i]`` has completeness score ``scores[i]``."""
+    front = camera_at_yaw("CAM_FRONT", 0.0)
+    spec = {"t": {cam: box_with_bcs(score, front) for cam, score in zip(CHAIN, scores)}}
+    return dataset_of(scene_with_boxes(RING.values(), [spec]))
+
+
+def prune_one_group(scores, tau):
+    """The kept and the removed cameras of ``group_dataset(scores)``."""
+    kept, row = prune_dataset(group_dataset(scores), GRAPH, tau)
+    kept_cams = sorted(key[2] for key in kept)
+    removed_cams = sorted(set(CHAIN[:len(scores)]) - set(kept_cams))
+    assert (row.deleted, row.remaining) == (len(removed_cams), len(kept_cams))
+    return kept_cams, removed_cams
 
 
 def test_prune_pair_keeps_anchor_drops_laggard():
-    decision = prune_group(group_of([0.9, 0.6]), tau=0.2)
-    assert cams_of(decision.kept) == ["CAM_00"]
-    assert cams_of(decision.removed) == ["CAM_01"]
+    kept, removed = prune_one_group([0.9, 0.6], tau=0.2)
+    assert kept == ["CAM_FRONT"]
+    assert removed == ["CAM_FRONT_RIGHT"]
 
 
 def test_prune_pair_within_tolerance_keeps_both():
-    decision = prune_group(group_of([0.9, 0.6]), tau=0.4)
-    assert cams_of(decision.kept) == ["CAM_00", "CAM_01"]
-    assert decision.removed == ()
+    kept, removed = prune_one_group([0.9, 0.6], tau=0.4)
+    assert kept == ["CAM_FRONT", "CAM_FRONT_RIGHT"]
+    assert removed == []
 
 
 def test_prune_triple_uses_max_anchor():
-    decision = prune_group(group_of([1.0, 0.8, 0.5]), tau=0.3)
-    assert cams_of(decision.kept) == ["CAM_00", "CAM_01"]
-    assert cams_of(decision.removed) == ["CAM_02"]
+    kept, removed = prune_one_group([1.0, 0.8, 0.5], tau=0.3)
+    assert kept == ["CAM_FRONT", "CAM_FRONT_RIGHT"]
+    assert removed == ["CAM_BACK_RIGHT"]
 
 
 def test_prune_never_removes_everything():
     for tau in (0.0, 0.1, 0.5):
-        decision = prune_group(group_of([0.4, 0.4, 0.1]), tau)
-        assert len(decision.kept) >= 1
+        kept, _ = prune_one_group([0.4, 0.4, 0.1], tau)
+        assert len(kept) >= 1
         # the anchor score always survives
-        assert "CAM_00" in cams_of(decision.kept)
+        assert "CAM_FRONT" in kept
 
 
 def test_prune_partitions_the_group():
-    group = group_of([0.9, 0.7, 0.3, 0.2])
-    decision = prune_group(group, 0.25)
-    assert len(decision.kept) + len(decision.removed) == 4
+    ds = group_dataset([0.9, 0.7, 0.3, 0.2])
+    kept, row = prune_dataset(ds, GRAPH, 0.25)
+    assert row.deleted + row.remaining == 4
+    assert kept.keys() <= all_keys(ds)
+    assert len(all_keys(ds) - kept.keys()) == row.deleted
 
 
 def test_prune_tau_one_removes_nothing():
-    assert prune_group(group_of([1.0, 0.0001]), 1.0).removed == ()
+    assert prune_one_group([1.0, 0.0001], 1.0)[1] == []
 
 
 def test_prune_rejects_negative_tau():
     with pytest.raises(ValueError):
-        prune_group(group_of([0.9, 0.6]), -0.1)
+        prune_dataset(group_dataset([0.9, 0.6]), GRAPH, -0.1)
 
 
 # --------------------------------------------------------- dataset pruning
@@ -182,7 +198,7 @@ def test_prune_dataset_global_tau():
     kept, row = prune_dataset(ds, GRAPH, tau=0.3)
     assert row.deleted == 2
     assert row.remaining == 3
-    removed_cams = {key[2] for key in all_keys(ds) - kept}
+    removed_cams = {key[2] for key in all_keys(ds) - kept.keys()}
     assert removed_cams == {"CAM_FRONT_RIGHT", "CAM_BACK_LEFT"}
 
 
@@ -190,7 +206,7 @@ def test_prune_dataset_tau_one_is_identity():
     ds = two_group_dataset()
     kept, row = prune_dataset(ds, GRAPH, tau=1.0)
     assert row.deleted == 0
-    assert kept == all_keys(ds)
+    assert kept.keys() == all_keys(ds)
 
 
 def test_ungrouped_labels_survive_any_tau():
@@ -234,7 +250,7 @@ def test_nan_thresholds_rejected():
     ds = two_group_dataset()
     nan = float("nan")
     with pytest.raises(ValueError):
-        prune_group(group_of([0.9, 0.6]), nan)
+        prune_dataset(group_dataset([0.9, 0.6]), GRAPH, nan)
     with pytest.raises(ValueError):
         prune_dataset(ds, GRAPH, nan)
     with pytest.raises(ValueError):
@@ -243,6 +259,27 @@ def test_nan_thresholds_rejected():
         with pytest.raises(ValueError):
             prune_dataset(ds, GRAPH, 0.5,
                           pair_taus={("CAM_FRONT", "CAM_FRONT_RIGHT"): bad})
+
+
+@pytest.mark.parametrize("source", ["native-2d", "projected-3d"])
+@pytest.mark.parametrize("seed", [3, 29, 311])
+def test_kept_box_is_the_resolved_clipped_box(seed, source):
+    ds, _ = generate_scene(SynthParams(seed=seed, n_objects=14, n_frames=3),
+                           cameras=nuscenes_like_cameras())
+    scene = ds.scenes[0]
+    anns = {(f.timestamp_ns, a.track_id): a for f in scene.frames for a in f.annotations}
+    cut = 0
+    for tau in (0.3, 1.0):
+        kept, row = prune_dataset(ds, GRAPH, tau, source)
+        assert len(kept) == row.remaining > 0
+        for (_, ts, camera, track_id), box in kept.items():
+            full, clipped = resolve_box(anns[(ts, track_id)], scene.camera_map[camera],
+                                        source)
+            assert (box.x0, box.y0, box.x1, box.y1) == (
+                clipped.x0, clipped.y0, clipped.x1, clipped.y1)
+            cut += full != clipped
+    # boxes cut by the image border tell the clipped box from the full one
+    assert cut > 0
 
 
 def all_keys(ds):
@@ -301,11 +338,10 @@ def test_sweep_matches_individual_prunes():
 def test_group_stats_agree_with_groups_and_prune_counts():
     ds, _ = generate_scene(SynthParams(seed=29, n_objects=16, n_frames=3),
                            cameras=nuscenes_like_cameras())
-    scene = ds.scenes[0]
     stats = group_stats(ds, GRAPH)
     totals = stats["label_totals"]
     counts = stats["bcs_histogram"]["counts"]
-    groups = [g for f in scene.frames for g in form_groups(f, scene.camera_map, GRAPH)]
+    groups = [g for _, g, _ in _index_dataset(ds, GRAPH, "native-2d").groups]
     _, row = prune_dataset(ds, GRAPH, 1.0)
     assert totals["groups"] == len(groups) > 0
     assert totals["grouped_observations"] == sum(len(g.observations) for g in groups)

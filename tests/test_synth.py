@@ -12,7 +12,7 @@ import pytest
 
 from redkit.geometry import centroid_distance, iou3d
 from redkit.ingest import write_dataset
-from redkit.multisource import form_groups, prune_dataset
+from redkit.multisource import _index_dataset, prune_dataset
 from redkit.overlap import build_overlap_graph
 from redkit.synth import (
     GroundTruth,
@@ -195,12 +195,10 @@ def test_ground_truth_groups_match_production(seed):
     ds, truth = generate_scene(params)
     scene = ds.scenes[0]
     graph = build_overlap_graph(scene.cameras, params.min_overlap)
-    produced = []
-    for frame in scene.frames:
-        for group in form_groups(frame, scene.camera_map, graph):
-            produced.append(
-                (group.track_id, frozenset(o.camera for o in group.observations))
-            )
+    produced = [
+        (group.track_id, frozenset(o.camera for o in group.observations))
+        for _, group, _ in _index_dataset(ds, graph, "native-2d").groups
+    ]
     assert sorted(produced) == sorted(truth.expected_groups)
 
 
@@ -214,7 +212,7 @@ def test_brute_force_prune_agrees(seed):
     graph = build_overlap_graph(ds.scenes[0].cameras, params.min_overlap)
     for tau in (0.0, 0.3, 0.7, 1.0):
         kept, _ = prune_dataset(ds, graph, tau)
-        assert kept == brute_force_prune(ds, graph, tau)
+        assert kept.keys() == brute_force_prune(ds, graph, tau)
 
 
 def test_brute_force_prune_with_pair_overrides():
@@ -224,7 +222,7 @@ def test_brute_force_prune_with_pair_overrides():
     overrides = {("CAM_FRONT", "CAM_FRONT_RIGHT"): 0.05,
                  ("CAM_BACK", "CAM_BACK_LEFT"): 0.2}
     kept, _ = prune_dataset(ds, graph, 0.8, pair_taus=overrides)
-    assert kept == brute_force_prune(ds, graph, 0.8, pair_taus=overrides)
+    assert kept.keys() == brute_force_prune(ds, graph, 0.8, pair_taus=overrides)
 
 
 def test_brute_force_rr_agrees():

@@ -7,7 +7,7 @@ the distance-versus-redundancy significance test.
 
 import statistics
 
-from redkit.multimodal import distance_ttest, redundancy_ratio, sweep_distance
+from redkit.multimodal import distance_ttest, match_frame, pooled_sweep
 from redkit.synth import SynthParams, generate_scene
 
 
@@ -22,7 +22,7 @@ def main():
     for frame in frames:
         base = frame.detection_sets["fusion_baseline"]
         lidar = frame.detection_sets["lidar_only"]
-        rrs.append(redundancy_ratio(base, lidar, theta))
+        rrs.append(match_frame(base, lidar, theta).rr)
     print(f"redundancy ratio over {len(frames)} frames "
           f"(theta={theta}): mean={statistics.mean(rrs):.3f}, "
           f"min={min(rrs):.3f}, max={max(rrs):.3f}")
@@ -32,7 +32,8 @@ def main():
     lidar = frame.detection_sets["lidar_only"]
     print("\ndistance-pruning sweep on frame 0:")
     print("t_dist  pruned  lost_ratio")
-    for row in sweep_distance(base, lidar, theta, [0.0, 5.0, 10.0, 20.0, 30.0]):
+    match = match_frame(base, lidar, theta)
+    for row in pooled_sweep([match], [0.0, 5.0, 10.0, 20.0, 30.0]):
         print(f"{row.t_dist:6.1f} {row.pruned_count:7d} {row.lost_ratio:11.3f}")
 
     # are objects in low-redundancy frames systematically nearer or farther?

@@ -40,18 +40,12 @@ from .ingest import (
 from .multimodal import (
     DistanceSweepRow,
     FrameMatch,
-    distance_prune,
     distance_ttest,
-    lost_ratio,
     match_frame,
     pooled_sweep,
-    redundancy_ratio,
-    sweep_distance,
     welch_t_test,
 )
 from .multisource import (
-    Observation,
-    RedundancyGroup,
     SweepRow,
     cosine_similarity,
     crop_overlap,
@@ -98,11 +92,9 @@ __all__ = [
     "FrameMatch",
     "GrayImage",
     "GroundTruth",
-    "Observation",
     "OverlapGraph",
     "OverlapPair",
     "ParseError",
-    "RedundancyGroup",
     "Scene",
     "SweepRow",
     "SynthParams",
@@ -119,14 +111,12 @@ __all__ = [
     "cosine_similarity",
     "crop_overlap",
     "cuboid_corners",
-    "distance_prune",
     "distance_ttest",
     "emit_labels",
     "generate_scene",
     "group_stats",
     "horizontal_fov",
     "iou3d",
-    "lost_ratio",
     "match_frame",
     "nuscenes_like_cameras",
     "overlap_arc",
@@ -137,9 +127,7 @@ __all__ = [
     "preset_nuscenes",
     "project_cuboid",
     "prune_dataset",
-    "redundancy_ratio",
     "serialize_pgm",
-    "sweep_distance",
     "sweep_tau",
     "view_arc",
     "welch_t_test",

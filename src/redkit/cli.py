@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from .geometry import check_threshold
 from .ingest import (
     Dataset,
     ParseError,
@@ -28,12 +29,7 @@ from .ingest import (
 )
 from .multimodal import distance_ttest, match_frame, pooled_sweep
 from .multisource import group_stats, overlap_similarity, prune_dataset, sweep_tau
-from .overlap import (
-    OverlapGraph,
-    build_overlap_graph,
-    check_min_overlap,
-    preset_nuscenes,
-)
+from .overlap import OverlapGraph, build_overlap_graph, preset_nuscenes
 from .synth import SynthParams, generate_scene, nuscenes_like_cameras
 
 OUTPUT_DIR_ENV = "REDKIT_OUTPUT_DIR"
@@ -76,7 +72,7 @@ def _build_graphs(dataset: Dataset, args: argparse.Namespace
                   ) -> dict[str, OverlapGraph]:
     if args.overlap_mode == "preset-nuscenes":
         # the preset has no use for --min-overlap, but the report echoes it
-        check_min_overlap(args.min_overlap)
+        check_threshold(args.min_overlap, "min_overlap")
         g = preset_nuscenes()
         return {s.scene_id: g for s in dataset.scenes}
     if args.overlap_mode == "calibration":

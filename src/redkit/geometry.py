@@ -59,6 +59,13 @@ def normalize_deg(angle: float) -> float:
     return (angle + 180.0) % 360.0 - 180.0
 
 
+def check_threshold(value: float, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a nonnegative finite number:
+    a NaN or infinite threshold is rejected, not echoed into a report."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Box2D:
     """Axis-aligned pixel box.

@@ -610,7 +610,8 @@ def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D
     :func:`redkit.multisource.prune_dataset` returns them. Lines are
     ``class_id xc yc w h`` with center/size normalized by the image
     dimensions, six decimals, LF endings, sorted by track id. Frames with no
-    kept boxes in a camera still get their (empty) file. Every file is
+    kept boxes in a camera still get their (empty) file. A key naming a
+    scene, frame, camera or track the dataset lacks is an error. Every file is
     formatted, and its name checked against the others, before ``out_dir``
     is created and the first one written.
     """
@@ -626,7 +627,7 @@ def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D
         for frame in scene.frames:
             by_track = {a.track_id: a for a in frame.annotations}
             for cam in scene.cameras:
-                tracks = kept_index.get((scene.scene_id, frame.timestamp_ns, cam.name), {})
+                tracks = kept_index.pop((scene.scene_id, frame.timestamp_ns, cam.name), {})
                 lines = []
                 for track_id, box in sorted(tracks.items()):
                     ann = by_track.get(track_id)
@@ -645,6 +646,11 @@ def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D
                 owners[name] = scene.scene_id
                 files.append((out / name, ("\n".join(lines) + "\n").encode("ascii")
                               if lines else b""))
+    if kept_index:
+        (scene_id, ts, camera), tracks = next(iter(kept_index.items()))
+        key = (scene_id, ts, camera, min(tracks))
+        raise ValidationError(f"kept key {key!r} names no frame and camera "
+                              "of the dataset")
     out.mkdir(parents=True, exist_ok=True)
     for target, data in files:
         # binary mode: the lines are ASCII with LF endings already, and a

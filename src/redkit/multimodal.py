@@ -20,7 +20,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import Box3D, Cuboid3D, centroid_distance, iou3d
+from .geometry import Cuboid3D, centroid_distance, check_threshold, iou3d
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,6 @@ class DistanceSweepRow:
     t_dist: float
     pruned_count: int
     lost_ratio: float
-
-
-def _check_theta(theta: float) -> None:
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
 
 
 # Relative widening of each bounding circle. The exact clip works on
@@ -105,7 +100,8 @@ def match_frame(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
     LiDAR boxes are tested farthest first, and each baseline box stops at
     its first box with IoU >= ``theta``: that box's distance is its reach.
     """
-    _check_theta(theta)
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must be in (0, 1], got {theta}")
     distances = tuple(centroid_distance(l) for l in lidar)
     # farthest first; NaN distances never survive pruning, so they go last
     order = sorted(range(len(lidar)),
@@ -123,32 +119,6 @@ def match_frame(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
     return FrameMatch(distances, tuple(reach))
 
 
-def redundancy_ratio(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
-                     theta: float) -> float:
-    """Fraction of baseline boxes with at least one LiDAR overlap >= theta.
-
-    Existence counting: one LiDAR box may cover several baseline boxes.
-    Undefined (raises) for an empty baseline set.
-    """
-    return match_frame(base, lidar, theta).rr
-
-
-def distance_prune(lidar: Sequence[Box3D], t_dist: float) -> list[Box3D]:
-    """Keep the boxes whose centroid distance is at least ``t_dist`` meters."""
-    if not t_dist >= 0.0:
-        raise ValueError(f"t_dist must be nonnegative, got {t_dist}")
-    return [b for b in lidar if centroid_distance(b) >= t_dist]
-
-
-def lost_ratio(base: Sequence[Cuboid3D], pruned: Sequence[Cuboid3D],
-               theta: float) -> float:
-    """Fraction of baseline boxes left without a match by a pruned set."""
-    _check_theta(theta)
-    if not base:
-        raise ValueError("lost ratio undefined for an empty baseline set")
-    return 1.0 - redundancy_ratio(base, pruned, theta)
-
-
 def pooled_sweep(matches: Sequence[FrameMatch], thresholds: Sequence[float]
                  ) -> list[DistanceSweepRow]:
     """Distance sweep over frames: pruned LiDAR boxes summed, lost ratio
@@ -160,8 +130,7 @@ def pooled_sweep(matches: Sequence[FrameMatch], thresholds: Sequence[float]
         raise ValueError("lost ratio undefined for an empty baseline set")
     rows = []
     for t in thresholds:
-        if not t >= 0.0:
-            raise ValueError(f"t_dist must be nonnegative, got {t}")
+        check_threshold(t, "t_dist")
         pruned = 0
         matched = 0
         for m in matches:
@@ -169,13 +138,6 @@ def pooled_sweep(matches: Sequence[FrameMatch], thresholds: Sequence[float]
             matched += sum(1 for r in m.reach if r is not None and r >= t)
         rows.append(DistanceSweepRow(t, pruned, 1.0 - matched / total))
     return rows
-
-
-def sweep_distance(base: Sequence[Cuboid3D], lidar: Sequence[Box3D],
-                   theta: float, thresholds: Sequence[float]
-                   ) -> list[DistanceSweepRow]:
-    """Distance-prune at each threshold and measure the baseline loss."""
-    return pooled_sweep([match_frame(base, lidar, theta)], thresholds)
 
 
 # --------------------------------------------------------------------------

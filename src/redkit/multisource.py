@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import CameraModel, angle_to_column, bcs, horizontal_fov, \
-    normalize_deg, yaw_center
+from .geometry import CameraModel, angle_to_column, bcs, check_threshold, \
+    horizontal_fov, normalize_deg, yaw_center
 from .geometry import Box2D
 from .ingest import Dataset, GrayImage, parse_pgm, resolve_box
 from .overlap import OverlapGraph
@@ -170,8 +170,14 @@ def _index_dataset(dataset: Dataset,
                 track_label_counts[track_key] = (
                     track_label_counts.get(track_key, 0) + len(observations)
                 )
-                for o in observations:
-                    labels[(sid, ts, o.camera, ann.track_id)] = o.clipped
+                keys = [(sid, ts, o.camera, ann.track_id) for o in observations]
+                if not labels.keys().isdisjoint(keys):
+                    key = next(k for k in keys if k in labels)
+                    raise ValueError(
+                        f"label {key!r} occurs twice: a scene id, a frame "
+                        "timestamp in its scene or a track id in its frame "
+                        "is repeated")
+                labels.update(zip(keys, (o.clipped for o in observations)))
                 groups.extend(
                     (sid, RedundancyGroup(ts, ann.track_id, members), scene_graph)
                     for members in components)
@@ -190,9 +196,7 @@ def _normalize_pair_taus(pair_taus: Mapping | None, dataset: Dataset,
         if len(key) != 2:
             raise ValueError(f"pair override key must name two cameras, got {pair!r}")
         value = float(value)
-        if not value >= 0.0:
-            raise ValueError(f"pair override for {pair!r} must be nonnegative, "
-                             f"got {value}")
+        check_threshold(value, f"pair override for {pair!r}")
         if all(g.pair_for(*key) is None for g in graphs):
             raise ValueError(f"pair override for {pair!r} names no overlapping "
                              "camera pair of any scene")
@@ -264,8 +268,7 @@ def prune_dataset(dataset: Dataset,
         :func:`redkit.ingest.emit_labels` writes), and the count row for
         this threshold.
     """
-    if not tau >= 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    check_threshold(tau, "tau")
     overrides = _normalize_pair_taus(pair_taus, dataset, graph)
     index = _index_dataset(dataset, graph, source)
     removed = _removed_keys(index, tau, overrides)
@@ -286,8 +289,8 @@ def sweep_tau(dataset: Dataset,
     """
     if not taus:
         raise ValueError("sweep needs at least one tau")
-    if any(not t >= 0.0 for t in taus):
-        raise ValueError("every tau must be nonnegative")
+    for tau in taus:
+        check_threshold(tau, "tau")
     overrides = _normalize_pair_taus(pair_taus, dataset, graph)
     index = _index_dataset(dataset, graph, source)
     return [

@@ -14,7 +14,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .geometry import CameraModel, horizontal_fov, normalize_deg, yaw_center
+from .geometry import CameraModel, check_threshold, horizontal_fov, \
+    normalize_deg, yaw_center
 
 
 @dataclass(frozen=True)
@@ -115,13 +116,6 @@ def overlap_arc(a: ViewArc, b: ViewArc) -> tuple[float, tuple[float, float]] | N
     return width, (start, start + width)
 
 
-def check_min_overlap(min_overlap: float) -> None:
-    """Raise ``ValueError`` unless ``min_overlap`` is nonnegative (NaN is
-    rejected)."""
-    if not min_overlap >= 0.0:
-        raise ValueError(f"min_overlap must be nonnegative, got {min_overlap}")
-
-
 def build_overlap_graph(cameras: Iterable[CameraModel],
                         min_overlap: float = 1.0) -> OverlapGraph:
     """Build the overlap graph of a rig from camera calibrations.
@@ -129,12 +123,12 @@ def build_overlap_graph(cameras: Iterable[CameraModel],
     Args:
         cameras: at least two cameras with distinct names.
         min_overlap: minimum shared degrees for a pair to become an edge;
-            must be nonnegative (NaN is rejected).
+            must be nonnegative and finite.
 
     Pairs are ordered lexicographically, both within each pair and across
     the list.
     """
-    check_min_overlap(min_overlap)
+    check_threshold(min_overlap, "min_overlap")
     cams = sorted(cameras, key=lambda c: c.name)
     if len(cams) < 2:
         raise ValueError("an overlap graph needs at least two cameras")

@@ -21,6 +21,7 @@ from .geometry import (
     CameraModel,
     Cuboid3D,
     centroid_distance,
+    check_threshold,
     horizontal_fov,
     iou3d,
     normalize_deg,
@@ -107,18 +108,17 @@ class SynthParams:
             raise ValueError("n_objects must be nonnegative")
         if self.n_frames < 1:
             raise ValueError("need at least one frame")
+        # each comparison fails for NaN; the upper bounds exclude infinity
         lo, hi = self.radial_range
-        if not 0.0 < lo < hi:
+        if not 0.0 < lo < hi < math.inf:
             raise ValueError(f"bad radial_range {self.radial_range}")
         slo, shi = self.size_range
-        if not 0.0 < slo <= shi:
+        if not 0.0 < slo <= shi < math.inf:
             raise ValueError(f"bad size_range {self.size_range}")
-        if self.detection_noise < 0.0:
-            raise ValueError("detection_noise must be nonnegative")
+        check_threshold(self.detection_noise, "detection_noise")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must be within [0, 1]")
-        if self.min_overlap < 0.0:
-            raise ValueError("min_overlap must be nonnegative")
+        check_threshold(self.min_overlap, "min_overlap")
 
 
 @dataclass(frozen=True)

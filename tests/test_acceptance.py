@@ -17,18 +17,13 @@ import scipy.stats
 from redkit.cli import main
 from redkit.geometry import Box2D, Cuboid3D, bcs, cuboid_corners, iou3d
 from redkit.ingest import write_dataset
-from redkit.multimodal import (
-    distance_prune,
-    lost_ratio,
-    redundancy_ratio,
-    sweep_distance,
-    welch_t_test,
-)
+from redkit.multimodal import match_frame, pooled_sweep, welch_t_test
 from redkit.multisource import prune_dataset, sweep_tau
 from redkit.overlap import OverlapGraph, build_overlap_graph, preset_nuscenes
 from redkit.synth import (
     SynthParams,
     brute_force_prune,
+    brute_force_rr,
     generate_scene,
     nuscenes_like_cameras,
 )
@@ -205,13 +200,13 @@ def test_criterion_07_multimodal_identities():
                 continue
             frames_seen += 1
             # identical sets are fully redundant
-            assert redundancy_ratio(base, base, theta) == 1.0
+            assert match_frame(base, base, theta).rr == 1.0
             # pruning nothing loses exactly the never-matched fraction
-            lost = lost_ratio(base, distance_prune(lidar, 0.0), theta)
-            assert abs(lost - (1.0 - redundancy_ratio(base, lidar, theta))) <= 1e-12
-            # both sweep columns are monotone over sorted thresholds
             thresholds = [0.0, 4.0, 8.0, 12.0, 16.0, 24.0, 40.0]
-            rows = sweep_distance(base, lidar, theta, thresholds)
+            rows = pooled_sweep([match_frame(base, lidar, theta)], thresholds)
+            lost = rows[0].lost_ratio
+            assert abs(lost - (1.0 - brute_force_rr(base, lidar, theta))) <= 1e-12
+            # both sweep columns are monotone over sorted thresholds
             for earlier, later in zip(rows, rows[1:]):
                 assert later.pruned_count >= earlier.pruned_count
                 assert later.lost_ratio >= earlier.lost_ratio - 1e-12

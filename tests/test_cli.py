@@ -18,7 +18,6 @@ from conftest import box_with_bcs, dataset_of, scene_with_boxes
 from redkit.cli import build_parser, main
 from redkit.geometry import Box2D, Box3D, centroid_distance
 from redkit.ingest import Frame, Scene, ValidationError, parse_dataset, write_dataset
-from redkit.multimodal import distance_prune
 from redkit.overlap import preset_nuscenes
 from redkit.synth import (
     SynthParams,
@@ -91,6 +90,22 @@ def test_sim_ring_flag_uses_named_cameras(tmp_path):
     doc = json.loads(next(tmp_path.glob("*.json")).read_text())
     names = {cam["name"] for cam in doc["cameras"]}
     assert "CAM_FRONT" in names and "CAM_BACK_LEFT" in names
+
+
+@pytest.mark.parametrize("args", [
+    ["--detection-noise", "inf"],
+    ["--detection-noise", "nan"],
+    ["--radial-range", "4,inf"],
+    ["--size-range", "1,inf"],
+    ["--min-overlap", "inf"],
+])
+def test_sim_rejects_non_finite_parameters(tmp_path, capsys, args):
+    # these used to write a scene with NaN or infinite coordinates, or to
+    # treat NaN noise as none
+    out = tmp_path / "x"
+    assert run_cli("sim", "--out", out, "--n-objects", 1, *args) == 1
+    assert capsys.readouterr().err != ""
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------- audit
@@ -390,6 +405,7 @@ def test_mm_rejects_negative_threshold(tmp_path, capsys):
     ["--rr-split", "nan"],
     ["--rr-split", "inf"],
     ["--rr-split", "high"],
+    ["--t-dist", "0,inf"],
 ])
 def test_mm_rejects_nan_or_empty_settings(tmp_path, capsys, args):
     data_dir = known_distance_dataset(tmp_path)
@@ -492,6 +508,10 @@ def test_audit_names_the_box_with_a_nan_coordinate(tmp_path, capsys, ring_datase
     ["sweep", "--taus", "0.3", "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=nan"],
     ["sweep", "--taus", ""],
     ["prune", "--tau", "0", "--min-overlap", "nan"],
+    ["prune", "--tau", "inf"],
+    ["prune", "--tau", "0.3", "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=inf"],
+    ["prune", "--tau", "0", "--min-overlap", "inf"],
+    ["sweep", "--taus", "0.1,inf"],
 ])
 def test_prune_and_sweep_reject_nan_or_empty_thresholds(tmp_path, capsys, args):
     data_dir = known_gap_dataset(tmp_path)
@@ -502,7 +522,7 @@ def test_prune_and_sweep_reject_nan_or_empty_thresholds(tmp_path, capsys, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 @pytest.mark.parametrize("command,args", [
     ("audit", []),
     ("prune", ["--tau", "0.3"]),
@@ -643,7 +663,7 @@ def test_mm_sweep_pools_frames_like_the_reference(tmp_path):
         pruned = 0
         matched = 0
         for base, lidar in sets:
-            kept = distance_prune(lidar, t)
+            kept = [l for l in lidar if centroid_distance(l) >= t]
             pruned += len(lidar) - len(kept)
             matched += round(brute_force_rr(base, kept, 0.3) * len(base))
         want.append(f"{t:.6f},{pruned},{1.0 - matched / total:.6f}")

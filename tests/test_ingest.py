@@ -581,6 +581,22 @@ def test_kept_key_naming_an_unknown_track_is_rejected(tmp_path):
     assert not (tmp_path / "labels").exists()
 
 
+@pytest.mark.parametrize("key", [
+    ("scene-0", 0, "CAM_NOPE", "t0"),
+    ("scene-0", 5, "CAM_FRONT", "t0"),
+    ("scene-9", 0, "CAM_FRONT", "t0"),
+])
+def test_kept_key_naming_no_frame_or_camera_is_rejected(tmp_path, key):
+    # such a key used to be dropped without a word
+    cams = two_overlapping_cameras()
+    scene = scene_with_boxes(cams, [{"t0": {"CAM_FRONT": Box2D(10.0, 10.0, 20.0, 20.0)}}])
+    kept = {("scene-0", 0, "CAM_FRONT", "t0"): Box2D(10.0, 10.0, 20.0, 20.0),
+            key: Box2D(10.0, 10.0, 20.0, 20.0)}
+    with pytest.raises(ValidationError, match=re.escape(repr(key))):
+        emit_labels(dataset_of(scene), kept, tmp_path / "labels")
+    assert not (tmp_path / "labels").exists()
+
+
 # ------------------------------------------------------------- resolve_box
 
 

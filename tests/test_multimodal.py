@@ -1,7 +1,9 @@
 """Cross-sensor matching, redundancy ratio, distance pruning, and the t-test.
 
-The Welch reference triple is frozen from hand computation of the Welch
-formulas plus an independent CDF oracle; scipy cross-checks it at runtime.
+Ratios and sweeps are checked against ``synth.brute_force_rr``, which shares
+no matching code with ``match_frame``. The Welch reference triple is frozen
+from hand computation of the Welch formulas plus an independent CDF oracle;
+scipy cross-checks it at runtime.
 """
 
 import math
@@ -13,16 +15,7 @@ from hypothesis import strategies as st
 
 import redkit.multimodal
 from redkit.geometry import Box3D, Cuboid3D, centroid_distance, iou3d
-from redkit.multimodal import (
-    distance_prune,
-    distance_ttest,
-    lost_ratio,
-    match_frame,
-    pooled_sweep,
-    redundancy_ratio,
-    sweep_distance,
-    welch_t_test,
-)
+from redkit.multimodal import distance_ttest, match_frame, pooled_sweep, welch_t_test
 from redkit.synth import SynthParams, brute_force_rr, generate_scene
 
 
@@ -37,38 +30,50 @@ def scored(x, y=0.0, z=0.0, size=(1.0, 1.0, 1.0)):
 # ---------------------------------------------------------------- ratios
 
 
+def rr(base, lidar, theta):
+    return match_frame(base, lidar, theta).rr
+
+
+def sweep(base, lidar, theta, thresholds):
+    return pooled_sweep([match_frame(base, lidar, theta)], thresholds)
+
+
+def kept_at(lidar, t):
+    """The LiDAR boxes that survive distance pruning at ``t``."""
+    return [l for l in lidar if centroid_distance(l) >= t]
+
+
 def test_rr_identity():
     boxes = [cube(0.0), cube(5.0)]
-    assert redundancy_ratio(boxes, boxes, theta=0.5) == 1.0
+    assert rr(boxes, boxes, theta=0.5) == 1.0
 
 
 def test_rr_empty_lidar():
-    assert redundancy_ratio([cube(0.0)], [], theta=0.5) == 0.0
+    assert rr([cube(0.0)], [], theta=0.5) == 0.0
 
 
 def test_rr_two_thirds():
     base = [cube(0.0), cube(10.0), cube(20.0)]
     lidar = [cube(0.0), cube(10.0)]
-    assert redundancy_ratio(base, lidar, theta=0.5) == pytest.approx(2 / 3, abs=1e-12)
+    assert rr(base, lidar, theta=0.5) == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_rr_empty_base_rejected():
     with pytest.raises(ValueError):
-        redundancy_ratio([], [cube(0.0)], theta=0.5)
+        rr([], [cube(0.0)], theta=0.5)
 
 
-@pytest.mark.parametrize("theta", [0.0, -0.5, 1.0001])
+@pytest.mark.parametrize("theta", [0.0, -0.5, 1.0001, math.nan])
 def test_rr_rejects_bad_theta(theta):
     with pytest.raises(ValueError):
-        redundancy_ratio([cube(0.0)], [cube(0.0)], theta=theta)
+        match_frame([cube(0.0)], [cube(0.0)], theta=theta)
 
 
 def test_rr_counts_existence_not_assignment():
     # two base boxes both covered by the same lidar box still both count
     base = [cube(0.0, size=(1.0, 1.0, 1.0)), cube(0.2, size=(1.0, 1.0, 1.0))]
     lidar = [cube(0.1, size=(1.4, 1.0, 1.0))]
-    rr = redundancy_ratio(base, lidar, theta=0.5)
-    assert rr == 1.0
+    assert rr(base, lidar, theta=0.5) == 1.0
 
 
 # --------------------------------------------------------- distance pruning
@@ -76,27 +81,35 @@ def test_rr_counts_existence_not_assignment():
 
 def test_distance_prune_zero_keeps_all():
     boxes = [scored(2.0), scored(7.0), scored(12.0)]
-    assert distance_prune(boxes, 0.0) == list(boxes)
+    [row] = sweep(boxes, boxes, 0.5, [0.0])
+    assert (row.pruned_count, row.lost_ratio) == (0, 0.0)
 
 
 def test_distance_prune_drops_near_boxes():
+    # only the box at 2 m is pruned, so only its base twin loses its match
     boxes = [scored(2.0), scored(7.0), scored(12.0)]
-    kept = distance_prune(boxes, 5.0)
-    assert [b.center[0] for b in kept] == [7.0, 12.0]
+    match = match_frame(boxes, boxes, 0.5)
+    assert match.reach == (2.0, 7.0, 12.0)
+    [row] = pooled_sweep([match], [5.0])
+    assert row.pruned_count == 1
+    assert row.lost_ratio == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_distance_prune_huge_threshold_empties():
-    assert distance_prune([scored(2.0), scored(7.0)], 1e12) == []
+    boxes = [scored(2.0), scored(7.0)]
+    [row] = sweep(boxes, boxes, 0.5, [1e12])
+    assert (row.pruned_count, row.lost_ratio) == (2, 1.0)
 
 
 def test_distance_prune_rejects_negative_threshold():
-    with pytest.raises(ValueError):
-        distance_prune([scored(2.0)], -1.0)
+    with pytest.raises(ValueError, match="t_dist must be nonnegative"):
+        sweep([scored(2.0)], [scored(2.0)], 0.5, [-1.0])
 
 
 def test_distance_prune_boundary_is_inclusive():
     # a box exactly at the threshold distance survives (rule is d >= t)
-    assert distance_prune([scored(5.0)], 5.0) == [scored(5.0)]
+    [row] = sweep([scored(5.0)], [scored(5.0)], 0.5, [5.0])
+    assert (row.pruned_count, row.lost_ratio) == (0, 0.0)
 
 
 # -------------------------------------------------------------- lost ratio
@@ -104,17 +117,18 @@ def test_distance_prune_boundary_is_inclusive():
 
 def test_lost_ratio_identity():
     base = [cube(0.0), cube(9.0)]
-    assert lost_ratio(base, base, theta=0.5) == 0.0
+    assert sweep(base, base, 0.5, [0.0])[0].lost_ratio == 0.0
 
 
 def test_lost_ratio_total_loss():
-    assert lost_ratio([cube(0.0)], [], theta=0.5) == 1.0
+    assert sweep([cube(0.0)], [], 0.5, [0.0])[0].lost_ratio == 1.0
 
 
 def test_lost_ratio_quarter():
     base = [cube(0.0), cube(10.0), cube(20.0), cube(30.0)]
     pruned = base[:3]
-    assert lost_ratio(base, pruned, theta=0.5) == pytest.approx(0.25, abs=1e-12)
+    assert sweep(base, pruned, 0.5, [0.0])[0].lost_ratio == pytest.approx(
+        0.25, abs=1e-12)
 
 
 def test_lost_ratio_complements_rr_on_unpruned_input():
@@ -126,9 +140,10 @@ def test_lost_ratio_complements_rr_on_unpruned_input():
         lidar = frame.detection_sets["lidar_only"]
         if not base:
             continue
-        lost = lost_ratio(base, distance_prune(lidar, 0.0), theta=0.5)
-        rr = redundancy_ratio(base, lidar, theta=0.5)
-        assert abs(lost - (1.0 - rr)) < 1e-12
+        match = match_frame(base, lidar, theta=0.5)
+        lost = pooled_sweep([match], [0.0])[0].lost_ratio
+        assert match.rr == brute_force_rr(base, lidar, 0.5)
+        assert abs(lost - (1.0 - match.rr)) < 1e-12
 
 
 # ------------------------------------------------------------------ sweeps
@@ -138,22 +153,22 @@ def test_sweep_distance_monotone_and_bruteforceable():
     base = [cube(2.0), cube(7.0), cube(12.0), cube(18.0)]
     lidar = [scored(2.0), scored(7.0), scored(12.0), scored(18.0)]
     thresholds = [0.0, 5.0, 10.0, 15.0, 25.0]
-    rows = sweep_distance(base, lidar, theta=0.5, thresholds=thresholds)
+    rows = sweep(base, lidar, theta=0.5, thresholds=thresholds)
     assert [r.t_dist for r in rows] == thresholds
     for earlier, later in zip(rows, rows[1:]):
         assert later.pruned_count >= earlier.pruned_count
         assert later.lost_ratio >= earlier.lost_ratio - 1e-12
     for row in rows:
-        kept = [b for b in lidar if math.hypot(*b.center) >= row.t_dist]
+        kept = kept_at(lidar, row.t_dist)
         assert row.pruned_count == len(lidar) - len(kept)
-        want_lost = lost_ratio(base, kept, theta=0.5)
+        want_lost = 1.0 - brute_force_rr(base, kept, 0.5)
         assert row.lost_ratio == pytest.approx(want_lost, abs=1e-12)
 
 
 def test_sweep_distance_known_counts():
     base = [cube(2.0), cube(7.0), cube(12.0)]
     lidar = [scored(2.0), scored(7.0), scored(12.0)]
-    rows = sweep_distance(base, lidar, theta=0.5, thresholds=[0.0, 5.0, 10.0])
+    rows = sweep(base, lidar, theta=0.5, thresholds=[0.0, 5.0, 10.0])
     assert [r.pruned_count for r in rows] == [0, 1, 2]
     assert [r.lost_ratio for r in rows] == pytest.approx([0.0, 1 / 3, 2 / 3], abs=1e-12)
 
@@ -161,11 +176,9 @@ def test_sweep_distance_known_counts():
 def test_sweep_rejects_nan_and_empty_thresholds():
     base = [cube(2.0)]
     lidar = [scored(2.0)]
-    for thresholds in ([], [0.0, math.nan], [-1.0]):
+    for thresholds in ([], [0.0, math.nan], [-1.0], [0.0, math.inf]):
         with pytest.raises(ValueError):
-            sweep_distance(base, lidar, theta=0.5, thresholds=thresholds)
-    with pytest.raises(ValueError):
-        distance_prune(lidar, math.nan)
+            sweep(base, lidar, theta=0.5, thresholds=thresholds)
 
 
 def reach_lost(match, t):
@@ -182,10 +195,10 @@ def test_reach_gives_lost_ratio_of_distance_pruned_set():
         lidar = frame.detection_sets["lidar_only"]
         match = match_frame(base, lidar, theta=0.3)
         assert match.distances == tuple(centroid_distance(l) for l in lidar)
-        assert match.rr == redundancy_ratio(base, lidar, theta=0.3)
+        assert match.rr == brute_force_rr(base, lidar, 0.3)
         # every LiDAR distance is a threshold, so boxes sit exactly on one
         for t in [0.0, 1e9] + sorted(match.distances):
-            want = lost_ratio(base, distance_prune(lidar, t), theta=0.3)
+            want = 1.0 - brute_force_rr(base, kept_at(lidar, t), 0.3)
             assert reach_lost(match, t) == want
             assert pooled_sweep([match], [t])[0].lost_ratio == want
 
@@ -198,8 +211,8 @@ def test_reach_is_farthest_match_despite_nan_distances():
     match = match_frame(base, lidar, theta=0.05)
     assert match.reach == (12.0,)
     for t in (0.0, 10.0, 12.0, 13.0):
-        assert reach_lost(match, t) == lost_ratio(
-            base, distance_prune(lidar, t), theta=0.05)
+        assert reach_lost(match, t) == 1.0 - brute_force_rr(
+            base, kept_at(lidar, t), 0.05)
 
 
 # ------------------------------------------------ bounding-circle screen

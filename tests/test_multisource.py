@@ -1,5 +1,8 @@
 """Redundancy grouping, completeness pruning, sweeps, and the crop prescreen."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -255,10 +258,37 @@ def test_nan_thresholds_rejected():
         prune_dataset(ds, GRAPH, nan)
     with pytest.raises(ValueError):
         sweep_tau(ds, GRAPH, [0.2, nan])
-    for bad in (nan, -0.1):
+    for bad in (nan, -0.1, float("inf")):
         with pytest.raises(ValueError):
             prune_dataset(ds, GRAPH, 0.5,
                           pair_taus={("CAM_FRONT", "CAM_FRONT_RIGHT"): bad})
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        prune_dataset(ds, GRAPH, float("inf"))
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        sweep_tau(ds, GRAPH, [0.2, float("inf")])
+
+
+@pytest.mark.parametrize("cause", ["track", "timestamp", "scene"])
+def test_two_labels_under_one_key_are_rejected(cause):
+    # parse_dataset prevents each cause; an in-memory dataset does not. The
+    # second label used to overwrite the first: the counts came out wrong,
+    # and pruning one of them ended in a bare KeyError
+    frame = frame_with({"obj": ["CAM_FRONT", "CAM_FRONT_RIGHT"]})
+    scene = Scene(scene_id="s", cameras=tuple(RING.values()), frames=(frame,))
+    if cause == "track":
+        twice = dataclasses.replace(frame, annotations=frame.annotations * 2)
+        ds = dataset_of(dataclasses.replace(scene, frames=(twice,)))
+    elif cause == "timestamp":
+        ds = dataset_of(dataclasses.replace(scene, frames=(frame, frame)))
+    else:
+        ds = dataset_of(scene, scene)
+    want = re.escape(f"label {('s', 0, 'CAM_FRONT', 'obj')!r} occurs twice")
+    with pytest.raises(ValueError, match=want):
+        prune_dataset(ds, GRAPH, 0.1)
+    with pytest.raises(ValueError, match=want):
+        sweep_tau(ds, GRAPH, [0.1])
+    with pytest.raises(ValueError, match=want):
+        group_stats(ds, GRAPH)
 
 
 @pytest.mark.parametrize("source", ["native-2d", "projected-3d"])

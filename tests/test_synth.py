@@ -232,9 +232,9 @@ def test_brute_force_rr_agrees():
     frame = ds.scenes[0].frames[0]
     base = frame.detection_sets["fusion_baseline"]
     lidar = frame.detection_sets["lidar_only"]
-    from redkit.multimodal import redundancy_ratio
+    from redkit.multimodal import match_frame
 
-    assert brute_force_rr(base, lidar, 0.5) == redundancy_ratio(base, lidar, 0.5)
+    assert brute_force_rr(base, lidar, 0.5) == match_frame(base, lidar, 0.5).rr
 
 
 def test_single_camera_scene_prunes_nothing():
@@ -270,6 +270,12 @@ def test_params_validation():
         SynthParams(seed=1, camera_yaw_offsets=(0.0, 90.0))
     with pytest.raises(ValueError):
         SynthParams(seed=1, n_objects=-1)
+    # NaN used to pass as no noise, and infinities became NaN coordinates
+    for bad in ({"detection_noise": math.nan}, {"detection_noise": math.inf},
+                {"radial_range": (4.0, math.inf)}, {"size_range": (1.0, math.inf)},
+                {"min_overlap": math.nan}, {"min_overlap": math.inf}):
+        with pytest.raises(ValueError):
+            SynthParams(seed=1, **bad)
 
 
 def test_generated_objects_respect_radial_range():

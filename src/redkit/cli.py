@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .geometry import check_threshold
 from .ingest import (
+    LABEL_SOURCES,
     Dataset,
     ParseError,
     ValidationError,
@@ -347,7 +348,7 @@ def _add_dataset_args(sub: argparse.ArgumentParser, with_source: bool = True) ->
                          help="derive pairs from calibration or use the fixed "
                               "six-camera preset")
         sub.add_argument("--label-source",
-                         choices=("native-2d", "projected-3d"),
+                         choices=LABEL_SOURCES,
                          help="which 2D boxes feed grouping and emission")
         sub.add_argument("--min-overlap", type=float,
                          help="degrees below which a camera pair is not an edge")

@@ -180,20 +180,14 @@ class CameraModel:
 def cuboid_corners(cuboid: Cuboid3D) -> tuple[tuple[float, float, float], ...]:
     """The 8 corner vertices of a cuboid in the ego frame.
 
-    Order: bottom face counterclockwise starting at local (+x, +y), then the
-    top face in the same x/y order. The mean of the corners is the center.
+    Order: the bottom face, whose x/y are the :func:`_bev_footprint`, then
+    the top face in the same x/y order. The mean of the corners is the
+    center.
     """
-    cx, cy, cz = cuboid.center
-    hl = 0.5 * cuboid.size[0]
-    hw = 0.5 * cuboid.size[1]
+    cz = cuboid.center[2]
     hh = 0.5 * cuboid.size[2]
-    c = math.cos(cuboid.yaw)
-    s = math.sin(cuboid.yaw)
-    corners = []
-    for dz in (-hh, hh):
-        for lx, wy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
-            corners.append((cx + lx * c - wy * s, cy + lx * s + wy * c, cz + dz))
-    return tuple(corners)
+    footprint = _bev_footprint(cuboid)
+    return tuple([(x, y, z) for z in (cz - hh, cz + hh) for x, y in footprint])
 
 
 def project_cuboid(cuboid: Cuboid3D, cam: CameraModel
@@ -258,7 +252,8 @@ def bcs(full: Box2D, clipped: Box2D) -> float:
 
 
 def _bev_footprint(box: Cuboid3D) -> list[tuple[float, float]]:
-    """Ground-plane footprint corners, counterclockwise."""
+    """Ground-plane footprint corners, counterclockwise starting at local
+    (+x, +y)."""
     cx, cy = box.center[0], box.center[1]
     hl = 0.5 * box.size[0]
     hw = 0.5 * box.size[1]

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NoReturn
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -211,45 +211,18 @@ def _ctx_get(obj: Mapping[str, Any], key: str, ctx: str) -> Any:
     return obj[key]
 
 
-def _reraise(exc: Exception, ctx: str) -> NoReturn:
-    """Re-raise a record constructor's error with ``ctx``: a value of the
-    wrong JSON type is a ``ParseError``, a bad value a ``ValidationError``."""
-    if isinstance(exc, (ParseError, ValidationError)):
-        raise exc
-    kind = ParseError if isinstance(exc, TypeError) else ValidationError
-    raise kind(f"{ctx}: {exc}") from None
-
-
 _NUMBER_TYPES = frozenset((int, float))
+_INTRINSICS = ("fx", "fy", "cx", "cy")
 _BOX_KEYS = ("x0", "y0", "x1", "y1")
 
 
-def _not_a_number(value: Any, what: str, ctx: str) -> NoReturn:
-    got = _JSON_NAMES.get(type(value), type(value).__name__)
-    raise ParseError(f"{ctx}: {what} must be a number, got {got}")
-
-
-def _vec(value: Any, n: int, what: str, ctx: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or len(value) != n:
-        raise ParseError(f"{ctx}: expected a {n}-vector, got {value!r}")
-    # float() would also take "1.5" and true
-    if not _NUMBER_TYPES.issuperset(map(type, value)):
-        _not_a_number(next(v for v in value if type(v) not in _NUMBER_TYPES),
-                      f"{what} entry", ctx)
-    try:
-        vec = tuple(map(float, value))
-    except OverflowError:
-        vec = tuple(_finite(v, what, ctx) for v in value)  # raises, naming ``what``
-    if not all(map(math.isfinite, vec)):
-        raise ValidationError(f"{ctx}: vector entries must be finite, got {value!r}")
-    return vec
-
-
 def _finite(value: Any, what: str, ctx: str) -> float:
-    """``value`` as a float if it is a JSON number; strings, booleans, NaN,
-    infinities and integers too large for a float are rejected."""
+    """``value`` as a float if it is a JSON number. Any other JSON type
+    (``float()`` would take "1.5" and true), NaN, infinities and integers
+    too large for a float are rejected, naming ``what``."""
     if type(value) not in _NUMBER_TYPES:
-        _not_a_number(value, what, ctx)
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise ParseError(f"{ctx}: {what} must be a number, got {got}")
     try:
         number = float(value)
     except OverflowError:
@@ -260,6 +233,28 @@ def _finite(value: Any, what: str, ctx: str) -> float:
     return number
 
 
+def _floats(values: Sequence[Any], names: Sequence[str], ctx: str
+            ) -> tuple[float, ...]:
+    """``values`` as floats by :func:`_finite`'s rule; the first entry that
+    breaks it is named by its entry of ``names``."""
+    if _NUMBER_TYPES.issuperset(map(type, values)):
+        try:
+            floats = tuple(map(float, values))
+            if all(map(math.isfinite, floats)):
+                return floats
+        except OverflowError:
+            pass
+    return tuple(_finite(v, name, ctx) for v, name in zip(values, names))
+
+
+def _vec(value: Any, n: int, what: str, ctx: str) -> tuple[float, ...]:
+    """``value`` as ``n`` floats if it is an array of ``n`` JSON numbers."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ParseError(f"{ctx}: {what} must be an array of {n} numbers, "
+                         f"got {value!r}")
+    return _floats(value, (f"{what} entry",) * n, ctx)
+
+
 def _integer(value: Any, what: str, ctx: str) -> int:
     """``value`` if it is a JSON integer that converts to a float: not a
     float, string or boolean."""
@@ -267,6 +262,15 @@ def _integer(value: Any, what: str, ctx: str) -> int:
         raise ValidationError(f"{ctx}: {what} must be an integer, got {value!r}")
     _finite(value, what, ctx)
     return value
+
+
+def _record(kind: type, ctx: str, *fields: Any) -> Any:
+    """``kind(*fields)`` from fields already read; the constructor's
+    ``ValueError`` becomes a ``ValidationError`` naming the record."""
+    try:
+        return kind(*fields)
+    except ValueError as exc:
+        raise ValidationError(f"{ctx}: {exc}") from None
 
 
 def _file_name_part(value: Any, what: str, ctx: str) -> str:
@@ -286,45 +290,30 @@ def _parse_camera(obj: Any, ctx: str) -> CameraModel:
     c = f"{ctx} camera {name!r}"
     intr = _typed(_ctx_get(obj, "intrinsics", c), dict, "intrinsics", c)
     extr = _typed(_ctx_get(obj, "extrinsics", c), dict, "extrinsics", c)
-    try:
-        return CameraModel(
-            name=name,
-            fx=_finite(_ctx_get(intr, "fx", c), "fx", c),
-            fy=_finite(_ctx_get(intr, "fy", c), "fy", c),
-            cx=_finite(_ctx_get(intr, "cx", c), "cx", c),
-            cy=_finite(_ctx_get(intr, "cy", c), "cy", c),
-            width=_integer(_ctx_get(intr, "width", c), "width", c),
-            height=_integer(_ctx_get(intr, "height", c), "height", c),
-            rotation=_vec(_ctx_get(extr, "rotation", c), 4, "rotation", c),
-            translation=_vec(_ctx_get(extr, "translation", c), 3, "translation", c),
-        )
-    except (TypeError, ValueError) as exc:
-        _reraise(exc, c)
+    return _record(
+        CameraModel, ctx, name,
+        *_floats([_ctx_get(intr, k, c) for k in _INTRINSICS], _INTRINSICS, c),
+        _integer(_ctx_get(intr, "width", c), "width", c),
+        _integer(_ctx_get(intr, "height", c), "height", c),
+        _vec(_ctx_get(extr, "rotation", c), 4, "rotation", c),
+        _vec(_ctx_get(extr, "translation", c), 3, "translation", c))
 
 
 def _parse_cuboid(obj: Any, ctx: str) -> Cuboid3D:
     _typed(obj, dict, "cuboid", ctx)
-    try:
-        return Cuboid3D(
-            center=_vec(_ctx_get(obj, "center", ctx), 3, "center", ctx),
-            size=_vec(_ctx_get(obj, "size", ctx), 3, "size", ctx),
-            yaw=_finite(_ctx_get(obj, "yaw", ctx), "yaw", ctx),
-        )
-    except (TypeError, ValueError) as exc:
-        _reraise(exc, ctx)
+    return _record(Cuboid3D, ctx,
+                   _vec(_ctx_get(obj, "center", ctx), 3, "center", ctx),
+                   _vec(_ctx_get(obj, "size", ctx), 3, "size", ctx),
+                   _finite(_ctx_get(obj, "yaw", ctx), "yaw", ctx))
 
 
 def _parse_detection(obj: Any, ctx: str) -> Box3D:
     _typed(obj, dict, "detection record", ctx)
-    try:
-        return Box3D(
-            center=_vec(_ctx_get(obj, "center", ctx), 3, "center", ctx),
-            size=_vec(_ctx_get(obj, "size", ctx), 3, "size", ctx),
-            yaw=_finite(_ctx_get(obj, "yaw", ctx), "yaw", ctx),
-            score=_finite(_ctx_get(obj, "score", ctx), "score", ctx),
-        )
-    except (TypeError, ValueError) as exc:
-        _reraise(exc, ctx)
+    return _record(Box3D, ctx,
+                   _vec(_ctx_get(obj, "center", ctx), 3, "center", ctx),
+                   _vec(_ctx_get(obj, "size", ctx), 3, "size", ctx),
+                   _finite(_ctx_get(obj, "yaw", ctx), "yaw", ctx),
+                   _finite(_ctx_get(obj, "score", ctx), "score", ctx))
 
 
 def _parse_annotation(obj: Any, camera_names: frozenset[str],
@@ -346,28 +335,11 @@ def _parse_annotation(obj: Any, camera_names: frozenset[str],
         _typed(box, dict, "box", bc)
         coords = (_ctx_get(box, "x0", bc), _ctx_get(box, "y0", bc),
                   _ctx_get(box, "x1", bc), _ctx_get(box, "y1", bc))
-        if not _NUMBER_TYPES.issuperset(map(type, coords)):
-            # float() would take "1.5" and true; it rejects the other types
-            for key, value in zip(_BOX_KEYS, coords):
-                if isinstance(value, (str, bool)):
-                    _not_a_number(value, key, bc)
-        try:
-            parsed = Box2D(*map(float, coords))
-        except OverflowError:
-            # raises, naming the coordinate
-            parsed = Box2D(*(_finite(v, k, bc) for k, v in zip(_BOX_KEYS, coords)))
-        except (TypeError, ValueError) as exc:
-            _reraise(exc, bc)
-        if not all(map(math.isfinite, (parsed.x0, parsed.y0, parsed.x1, parsed.y1))):
-            raise ValidationError(
-                f"{bc}: native box coordinates must be finite, got "
-                f"({parsed.x0}, {parsed.y0}, {parsed.x1}, {parsed.y1})")
+        parsed = _record(Box2D, bc, *_floats(coords, _BOX_KEYS, bc))
         if parsed.area <= 0.0:
             raise ValidationError(f"{bc}: native box must have positive area")
         boxes2d[cam_name] = parsed
-    if cuboid is None and not boxes2d:
-        raise ValidationError(f"{c}: needs a cuboid or native 2D boxes")
-    return Annotation(track_id=track_id, category=category, cuboid=cuboid, boxes2d=boxes2d)
+    return _record(Annotation, ctx, track_id, category, cuboid, boxes2d)
 
 
 def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str,

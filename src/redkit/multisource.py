@@ -133,13 +133,15 @@ def _removed(observations: Sequence[Observation], tau: float) -> list[Observatio
 
 @dataclass
 class _DatasetIndex:
-    """One pass over a dataset: every label's clipped box plus the formed
-    groups."""
+    """One pass over a dataset: every label's clipped box, the formed
+    groups and the number of tracks with a label."""
 
     labels: dict[LabelKey, Box2D]
     # (scene_id, group, graph for that scene)
     groups: list[tuple[str, RedundancyGroup, OverlapGraph]]
-    track_label_counts: dict[tuple[str, str], int]
+    # pruning never removes a group's highest-scoring observation, so every
+    # one of these tracks keeps a label at any threshold
+    tracks: int
 
 
 def _graph_for(graph: OverlapGraph | Mapping[str, OverlapGraph], scene_id: str
@@ -154,7 +156,7 @@ def _index_dataset(dataset: Dataset,
                    source: str) -> _DatasetIndex:
     labels: dict[LabelKey, Box2D] = {}
     groups: list[tuple[str, RedundancyGroup, OverlapGraph]] = []
-    track_label_counts: dict[tuple[str, str], int] = {}
+    tracks: set[tuple[str, str]] = set()
     for scene in dataset.scenes:
         scene_graph = _graph_for(graph, scene.scene_id)
         cameras = scene.camera_map
@@ -166,10 +168,7 @@ def _index_dataset(dataset: Dataset,
                     ann, cameras, scene_graph, source)
                 if not observations:
                     continue
-                track_key = (sid, ann.track_id)
-                track_label_counts[track_key] = (
-                    track_label_counts.get(track_key, 0) + len(observations)
-                )
+                tracks.add((sid, ann.track_id))
                 keys = [(sid, ts, o.camera, ann.track_id) for o in observations]
                 if not labels.keys().isdisjoint(keys):
                     key = next(k for k in keys if k in labels)
@@ -181,7 +180,7 @@ def _index_dataset(dataset: Dataset,
                 groups.extend(
                     (sid, RedundancyGroup(ts, ann.track_id, members), scene_graph)
                     for members in components)
-    return _DatasetIndex(labels, groups, track_label_counts)
+    return _DatasetIndex(labels, groups, len(tracks))
 
 
 def _normalize_pair_taus(pair_taus: Mapping | None, dataset: Dataset,
@@ -233,16 +232,8 @@ def _removed_keys(index: _DatasetIndex, tau: float,
 
 
 def _row_for(index: _DatasetIndex, tau: float, removed: list[LabelKey]) -> SweepRow:
-    removed_per_track: dict[tuple[str, str], int] = {}
-    for sid, _, _, track_id in removed:
-        key = (sid, track_id)
-        removed_per_track[key] = removed_per_track.get(key, 0) + 1
-    tracks = sum(
-        1 for key, total in index.track_label_counts.items()
-        if removed_per_track.get(key, 0) < total
-    )
     deleted = len(removed)
-    return SweepRow(tau, deleted, len(index.labels) - deleted, tracks)
+    return SweepRow(tau, deleted, len(index.labels) - deleted, index.tracks)
 
 
 def prune_dataset(dataset: Dataset,
@@ -327,7 +318,7 @@ def group_stats(dataset: Dataset,
             "labels": len(index.labels),
             "grouped_observations": grouped_obs,
             "groups": len(index.groups),
-            "tracks": len(index.track_label_counts),
+            "tracks": index.tracks,
         },
         "per_pair_group_counts": dict(sorted(pair_group_counts.items())),
         "bcs_histogram": {

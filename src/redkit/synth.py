@@ -102,8 +102,12 @@ class SynthParams:
             raise ValueError("need at least one camera")
         if not 0.0 < self.camera_fov < 180.0:
             raise ValueError(f"camera_fov must be in (0, 180), got {self.camera_fov}")
-        if self.camera_yaw_offsets is not None and len(self.camera_yaw_offsets) != self.n_cameras:
-            raise ValueError("camera_yaw_offsets length must equal n_cameras")
+        if self.camera_yaw_offsets is not None:
+            if len(self.camera_yaw_offsets) != self.n_cameras:
+                raise ValueError("camera_yaw_offsets length must equal n_cameras")
+            if not all(map(math.isfinite, self.camera_yaw_offsets)):
+                raise ValueError("camera_yaw_offsets must be finite, got "
+                                 f"{self.camera_yaw_offsets}")
         if self.n_objects < 0:
             raise ValueError("n_objects must be nonnegative")
         if self.n_frames < 1:

@@ -92,19 +92,23 @@ def test_sim_ring_flag_uses_named_cameras(tmp_path):
     assert "CAM_FRONT" in names and "CAM_BACK_LEFT" in names
 
 
-@pytest.mark.parametrize("args", [
-    ["--detection-noise", "inf"],
-    ["--detection-noise", "nan"],
-    ["--radial-range", "4,inf"],
-    ["--size-range", "1,inf"],
-    ["--min-overlap", "inf"],
+@pytest.mark.parametrize("args,message", [
+    (["--detection-noise", "inf"], "detection_noise must be nonnegative and finite"),
+    (["--detection-noise", "nan"], "detection_noise must be nonnegative and finite"),
+    (["--radial-range", "4,inf"], "bad radial_range (4.0, inf)"),
+    (["--size-range", "1,inf"], "bad size_range (1.0, inf)"),
+    (["--min-overlap", "inf"], "min_overlap must be nonnegative and finite"),
+    (["--yaw-offsets", "inf,60,120,180,240,300"],
+     "camera_yaw_offsets must be finite, got (inf, 60.0"),
+    (["--yaw-offsets", "nan,60,120,180,240,300"],
+     "camera_yaw_offsets must be finite, got (nan, 60.0"),
 ])
-def test_sim_rejects_non_finite_parameters(tmp_path, capsys, args):
-    # these used to write a scene with NaN or infinite coordinates, or to
-    # treat NaN noise as none
+def test_sim_rejects_non_finite_parameters(tmp_path, capsys, args, message):
+    # these used to write a scene with NaN or infinite coordinates, to treat
+    # NaN noise as none, or to fail naming no option
     out = tmp_path / "x"
     assert run_cli("sim", "--out", out, "--n-objects", 1, *args) == 1
-    assert capsys.readouterr().err != ""
+    assert f"redkit sim: error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -488,16 +492,18 @@ def test_prune_names_the_camera_with_a_nan_intrinsic(tmp_path, capsys, ring_data
 
 def test_audit_names_the_box_with_a_nan_coordinate(tmp_path, capsys, ring_dataset):
     # used to die in the BCS histogram: "cannot convert float NaN to integer"
-    data_dir, _ = ring_dataset
+    data_dir, ds = ring_dataset
+    ann = ds.scenes[0].frames[1].annotations[0]
+    camera = next(iter(ann.boxes2d))
 
     def edit(doc):
-        boxes = doc["frames"][1]["annotations"][0]["boxes2d"]
-        next(iter(boxes.values()))["y1"] = math.nan
+        doc["frames"][1]["annotations"][0]["boxes2d"][camera]["y1"] = math.nan
 
     edit_scene_file(data_dir, edit)
     out = tmp_path / "x"
     assert run_cli("audit", "--dataset", data_dir, "--out", out) == 1
-    assert "native box coordinates must be finite" in capsys.readouterr().err
+    assert (f"annotation {ann.track_id!r} box in {camera!r}: y1 must be finite, "
+            "got nan") in capsys.readouterr().err
     assert not out.exists()
 
 

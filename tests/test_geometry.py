@@ -111,6 +111,21 @@ def test_corners_rotated_extents():
     assert min(ys) == pytest.approx(-2.0, abs=1e-12)
 
 
+@settings(max_examples=300)
+@given(st.tuples(*[st.floats(-1e8, 1e8)] * 3), st.tuples(*[st.floats(0.01, 100.0)] * 3),
+       st.floats(-10.0, 10.0))
+def test_corners_follow_the_rotation_formula_exactly(center, size, yaw):
+    # projections, IoU footprints and distances are built from these corners
+    # and compared bit for bit with earlier outputs
+    cx, cy, cz = center
+    hl, hw, hh = (0.5 * v for v in size)
+    c, s = math.cos(yaw), math.sin(yaw)
+    want = tuple((cx + lx * c - wy * s, cy + lx * s + wy * c, cz + dz)
+                 for dz in (-hh, hh)
+                 for lx, wy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)))
+    assert cuboid_corners(Cuboid3D(center, size, yaw)) == want
+
+
 # ---------------------------------------------------------------- projection
 
 

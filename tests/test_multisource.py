@@ -356,6 +356,11 @@ def test_sweep_tracks_constant():
     tracks = {row.tracks for row in rows}
     assert len(tracks) == 1
     assert tracks.pop() == 3
+    # the same tracks labelled again in a second frame still count once each
+    scene = ds.scenes[0]
+    again = dataclasses.replace(scene.frames[0], timestamp_ns=1)
+    twice = dataset_of(dataclasses.replace(scene, frames=(scene.frames[0], again)))
+    assert {row.tracks for row in sweep_tau(twice, GRAPH, [0.0, 0.5, 1.0])} == {3}
 
 
 def test_sweep_matches_individual_prunes():

@@ -399,14 +399,5 @@ def angle_to_column(phi_deg: float, cam: CameraModel) -> int:
         raise ValueError(
             f"bearing {phi_deg} deg outside the field of view of camera {cam.name!r}"
         )
-    col = column_of_angle(phi_deg, cam)
+    col = cam.cx + cam.fx * math.tan(math.radians(phi_deg))
     return min(max(round(col), 0), cam.width - 1)
-
-
-def column_of_angle(phi_deg: float, cam: CameraModel) -> float:
-    """Unrounded, unclamped column for a camera-relative bearing.
-
-    Strictly monotone in ``phi_deg`` on ``(-90, 90)`` degrees; exposed for
-    callers that need the continuous mapping behind :func:`angle_to_column`.
-    """
-    return cam.cx + cam.fx * math.tan(math.radians(phi_deg))

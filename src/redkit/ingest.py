@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -50,6 +51,8 @@ import numpy as np
 from .geometry import Box2D, Box3D, CameraModel, Cuboid3D, project_cuboid
 
 LABEL_SOURCES = ("native-2d", "projected-3d")
+# the longest file name, in bytes, that common file systems accept
+_MAX_NAME_BYTES = 255
 # the per-frame parts whose records parse_dataset can build or leave out
 FRAME_PARTS = ("annotations", "detection_sets")
 
@@ -584,8 +587,8 @@ def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D
     dimensions, six decimals, LF endings, sorted by track id. Frames with no
     kept boxes in a camera still get their (empty) file. A key naming a
     scene, frame, camera or track the dataset lacks is an error. Every file is
-    formatted, and its name checked against the others, before ``out_dir``
-    is created and the first one written.
+    formatted, and its name checked for length and against the others,
+    before ``out_dir`` is created and the first one written.
     """
     kept_index: dict[tuple[str, int, str], dict[str, Box2D]] = {}
     for (scene_id, ts, camera, track_id), box in kept.items():
@@ -610,6 +613,13 @@ def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D
                         )
                     lines.append(_format_label(dataset.class_map[ann.category], box, cam))
                 name = f"{scene.scene_id}__{frame.timestamp_ns}__{cam.name}.txt"
+                size = len(os.fsencode(name))
+                if size > _MAX_NAME_BYTES:
+                    raise ValidationError(
+                        f"label file name for scene {scene.scene_id!r}, frame "
+                        f"{frame.timestamp_ns}, camera {cam.name!r} is {size} "
+                        f"bytes, longer than {_MAX_NAME_BYTES}"
+                    )
                 if name in owners:
                     raise ValidationError(
                         f"label file {name!r} would be written for both scene "

@@ -19,7 +19,7 @@ from .geometry import CameraModel, angle_to_column, bcs, check_threshold, \
     horizontal_fov, normalize_deg, yaw_center
 from .geometry import Box2D
 from .ingest import Dataset, GrayImage, parse_pgm, resolve_box
-from .overlap import OverlapGraph
+from .overlap import OverlapGraph, OverlapPair
 
 # (scene_id, timestamp_ns, camera, track_id)
 LabelKey = tuple[str, int, str, str]
@@ -39,11 +39,15 @@ class Observation:
 
 @dataclass(frozen=True)
 class RedundancyGroup:
-    """All observations of one object across graph-connected cameras."""
+    """All observations of one object across graph-connected cameras, and
+    the overlap edges between them: the scene graph's pairs whose two
+    cameras both observe the object, in graph order."""
 
+    scene_id: str
     frame: int
     track_id: str
     observations: tuple[Observation, ...]
+    edges: tuple[OverlapPair, ...]
 
 
 @dataclass(frozen=True)
@@ -54,22 +58,6 @@ class SweepRow:
     deleted: int
     remaining: int
     tracks: int
-
-
-def _annotation_groups(ann, cameras: Mapping[str, CameraModel],
-                       graph: OverlapGraph, source: str
-                       ) -> tuple[list[Observation], list[tuple[Observation, ...]]]:
-    """One annotation's observations, and the members of each group they
-    form: every overlap-graph component with at least two observing cameras.
-    """
-    observations = _observations(ann, cameras, source)
-    groups = []
-    if len(observations) >= 2:
-        for component in _components([o.camera for o in observations],
-                                     graph.adjacency):
-            if len(component) >= 2:
-                groups.append(tuple(o for o in observations if o.camera in component))
-    return observations, groups
 
 
 def _observations(ann, cameras: Mapping[str, CameraModel], source: str
@@ -137,8 +125,7 @@ class _DatasetIndex:
     groups and the number of tracks with a label."""
 
     labels: dict[LabelKey, Box2D]
-    # (scene_id, group, graph for that scene)
-    groups: list[tuple[str, RedundancyGroup, OverlapGraph]]
+    groups: list[RedundancyGroup]
     # pruning never removes a group's highest-scoring observation, so every
     # one of these tracks keeps a label at any threshold
     tracks: int
@@ -155,7 +142,7 @@ def _index_dataset(dataset: Dataset,
                    graph: OverlapGraph | Mapping[str, OverlapGraph],
                    source: str) -> _DatasetIndex:
     labels: dict[LabelKey, Box2D] = {}
-    groups: list[tuple[str, RedundancyGroup, OverlapGraph]] = []
+    groups: list[RedundancyGroup] = []
     tracks: set[tuple[str, str]] = set()
     for scene in dataset.scenes:
         scene_graph = _graph_for(graph, scene.scene_id)
@@ -164,8 +151,7 @@ def _index_dataset(dataset: Dataset,
         for frame in scene.frames:
             ts = frame.timestamp_ns
             for ann in frame.annotations:
-                observations, components = _annotation_groups(
-                    ann, cameras, scene_graph, source)
+                observations = _observations(ann, cameras, source)
                 if not observations:
                     continue
                 tracks.add((sid, ann.track_id))
@@ -177,9 +163,18 @@ def _index_dataset(dataset: Dataset,
                         "timestamp in its scene or a track id in its frame "
                         "is repeated")
                 labels.update(zip(keys, (o.clipped for o in observations)))
-                groups.extend(
-                    (sid, RedundancyGroup(ts, ann.track_id, members), scene_graph)
-                    for members in components)
+                if len(observations) < 2:
+                    continue
+                # a group is an overlap-graph component with at least two
+                # observing cameras
+                for comp in _components([o.camera for o in observations],
+                                        scene_graph.adjacency):
+                    if len(comp) >= 2:
+                        groups.append(RedundancyGroup(
+                            sid, ts, ann.track_id,
+                            tuple(o for o in observations if o.camera in comp),
+                            tuple(p for p in scene_graph.pairs
+                                  if p.camera_a in comp and p.camera_b in comp)))
     return _DatasetIndex(labels, groups, len(tracks))
 
 
@@ -196,38 +191,31 @@ def _normalize_pair_taus(pair_taus: Mapping | None, dataset: Dataset,
             raise ValueError(f"pair override key must name two cameras, got {pair!r}")
         value = float(value)
         check_threshold(value, f"pair override for {pair!r}")
-        if all(g.pair_for(*key) is None for g in graphs):
+        a, b = key
+        if all(b not in g.adjacency.get(a, ()) for g in graphs):
             raise ValueError(f"pair override for {pair!r} names no overlapping "
                              "camera pair of any scene")
         out[key] = value
     return out
 
 
-def _effective_tau(group: RedundancyGroup, graph: OverlapGraph, tau: float,
+def _effective_tau(group: RedundancyGroup, tau: float,
                    pair_taus: dict[frozenset[str], float]) -> float:
-    """Per-group threshold: the smallest override on any edge inside the group."""
+    """Per-group threshold: the smallest, over the group's edges, of each
+    edge's override or else ``tau``."""
     if not pair_taus:
         return tau
-    cams = [o.camera for o in group.observations]
-    best = None
-    for i in range(len(cams)):
-        for j in range(i + 1, len(cams)):
-            edge = frozenset((cams[i], cams[j]))
-            if graph.pair_for(cams[i], cams[j]) is None:
-                continue
-            t = pair_taus.get(edge, tau)
-            if best is None or t < best:
-                best = t
-    return tau if best is None else best
+    return min(pair_taus.get(frozenset((e.camera_a, e.camera_b)), tau)
+               for e in group.edges)
 
 
 def _removed_keys(index: _DatasetIndex, tau: float,
                   pair_taus: dict[frozenset[str], float]) -> list[LabelKey]:
     removed: list[LabelKey] = []
-    for sid, group, graph in index.groups:
-        eff = _effective_tau(group, graph, tau, pair_taus)
+    for group in index.groups:
+        eff = _effective_tau(group, tau, pair_taus)
         for o in _removed(group.observations, eff):
-            removed.append((sid, group.frame, o.camera, group.track_id))
+            removed.append((group.scene_id, group.frame, o.camera, group.track_id))
     return removed
 
 
@@ -304,15 +292,13 @@ def group_stats(dataset: Dataset,
     hist = [0] * _BCS_BINS
     pair_group_counts: dict[str, int] = {}
     grouped_obs = 0
-    for _, group, scene_graph in index.groups:
-        cams = {o.camera for o in group.observations}
+    for group in index.groups:
         for o in group.observations:
             grouped_obs += 1
             hist[min(int(o.bcs * _BCS_BINS), _BCS_BINS - 1)] += 1
-        for pair in scene_graph.pairs:
-            if pair.camera_a in cams and pair.camera_b in cams:
-                key = f"{pair.camera_a}|{pair.camera_b}"
-                pair_group_counts[key] = pair_group_counts.get(key, 0) + 1
+        for pair in group.edges:
+            key = f"{pair.camera_a}|{pair.camera_b}"
+            pair_group_counts[key] = pair_group_counts.get(key, 0) + 1
     return {
         "label_totals": {
             "labels": len(index.labels),

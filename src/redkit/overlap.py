@@ -70,13 +70,6 @@ class OverlapGraph:
             adj.setdefault(p.camera_b, set()).add(p.camera_a)
         return {name: frozenset(peers) for name, peers in adj.items()}
 
-    @cached_property
-    def _by_edge(self) -> dict[frozenset[str], OverlapPair]:
-        return {frozenset((p.camera_a, p.camera_b)): p for p in self.pairs}
-
-    def pair_for(self, camera_a: str, camera_b: str) -> OverlapPair | None:
-        return self._by_edge.get(frozenset((camera_a, camera_b)))
-
     def __iter__(self) -> Iterator[OverlapPair]:
         return iter(self.pairs)
 

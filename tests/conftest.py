@@ -4,7 +4,7 @@ import pytest
 
 from redkit.geometry import Box2D, CameraModel
 from redkit.ingest import Annotation, Dataset, Frame, Scene
-from redkit.synth import camera_at_yaw, nuscenes_like_cameras
+from redkit.synth import SynthParams, camera_at_yaw, generate_scene, nuscenes_like_cameras
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +24,17 @@ def two_overlapping_cameras():
         camera_at_yaw("CAM_FRONT", 0.0, 70.0),
         camera_at_yaw("CAM_FRONT_RIGHT", -55.0, 70.0),
     )
+
+
+def chain_ring_dataset():
+    """Ten 60-degree cameras, where only neighbours overlap, and near
+    objects. Projected from their cuboids, some span three or four cameras,
+    each such group a chain whose end cameras share no edge (track
+    t00001o0010 spans CAM_00 to CAM_03)."""
+    ds, _ = generate_scene(SynthParams(seed=56, n_objects=20, n_frames=2,
+                                       n_cameras=10, camera_fov=60.0,
+                                       radial_range=(3.0, 12.0)))
+    return ds
 
 
 def scene_with_boxes(cameras, frames_spec, scene_id="scene-0"):

@@ -283,6 +283,45 @@ def test_label_files_sharing_a_name_fail_the_prune(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cause", ["timestamp", "scene_id", "multibyte-scene_id"])
+def test_label_file_name_too_long_fails_the_prune(tmp_path, capsys, ring_dataset,
+                                                  cause):
+    # used to create --out and write label files before the file system
+    # refused the name with "File name too long"; 120 two-byte characters
+    # make a name of 138 characters but 257 bytes
+    data_dir, ds = ring_dataset
+    scene_id, ts = ds.scenes[0].scene_id, 0
+    if cause == "timestamp":
+        ts = 10**300
+        edit = lambda doc: doc["frames"][-1].update(timestamp_ns=ts)
+    else:
+        scene_id = "s" * 300 if cause == "scene_id" else "\u00e9" * 120
+        edit = lambda doc: doc.update(scene_id=scene_id)
+    edit_scene_file(data_dir, edit)
+    out = tmp_path / "pruned"
+    assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", "0.3") == 1
+    camera = ds.scenes[0].cameras[0].name
+    size = len(f"{scene_id}__{ts}__{camera}.txt".encode())
+    assert (f"label file name for scene {scene_id!r}, frame {ts}, camera "
+            f"{camera!r} is {size} bytes, longer than 255"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_label_file_name_of_255_bytes_is_written(tmp_path, ring_dataset):
+    data_dir, ds = ring_dataset
+    scene = ds.scenes[0]
+    longest = max(len(f"__{f.timestamp_ns}__{c.name}.txt")
+                  for f in scene.frames for c in scene.cameras)
+    scene_id = "s" * (255 - longest)
+    edit_scene_file(data_dir, lambda doc: doc.update(scene_id=scene_id))
+    out = tmp_path / "pruned"
+    assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", "0.3") == 0
+    names = [p.name for p in (out / "labels").iterdir()]
+    assert len(names) == len(scene.frames) * len(scene.cameras)
+    assert max(len(name.encode()) for name in names) == 255
+
+
 @pytest.mark.parametrize("command", ["prune", "sweep"])
 @pytest.mark.parametrize("pair", ["X:Y", "CAM_FRONT:CAM_BACK"])
 def test_pair_override_that_names_no_edge_fails(tmp_path, capsys, command, pair):

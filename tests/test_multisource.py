@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import box_with_bcs, dataset_of, scene_with_boxes
+from conftest import box_with_bcs, chain_ring_dataset, dataset_of, scene_with_boxes
 from redkit.geometry import Box2D
 from redkit.ingest import Frame, GrayImage, Scene, resolve_box
 from redkit.multisource import (
@@ -17,7 +17,7 @@ from redkit.multisource import (
     prune_dataset,
     sweep_tau,
 )
-from redkit.overlap import preset_nuscenes
+from redkit.overlap import build_overlap_graph, preset_nuscenes
 from redkit.synth import SynthParams, camera_at_yaw, generate_scene, nuscenes_like_cameras
 
 GRAPH = preset_nuscenes()
@@ -41,8 +41,7 @@ def groups_in(frame):
     """The redundancy groups the grouping index forms for one frame on the
     six-camera rig, in index order."""
     scene = Scene(scene_id="s", cameras=tuple(RING.values()), frames=(frame,))
-    index = _index_dataset(dataset_of(scene), GRAPH, "native-2d")
-    return [group for _, group, _ in index.groups]
+    return _index_dataset(dataset_of(scene), GRAPH, "native-2d").groups
 
 
 # ---------------------------------------------------------------- grouping
@@ -370,24 +369,42 @@ def test_sweep_matches_individual_prunes():
         assert row == single
 
 
-def test_group_stats_agree_with_groups_and_prune_counts():
+def _chain_rig():
+    ds = chain_ring_dataset()
+    return ds, build_overlap_graph(ds.scenes[0].cameras), "projected-3d"
+
+
+def _ring_rig():
     ds, _ = generate_scene(SynthParams(seed=29, n_objects=16, n_frames=3),
                            cameras=nuscenes_like_cameras())
-    stats = group_stats(ds, GRAPH)
+    return ds, GRAPH, "native-2d"
+
+
+@pytest.mark.parametrize("rig", [_ring_rig, _chain_rig], ids=["ring", "chain"])
+def test_group_stats_agree_with_groups_and_prune_counts(rig):
+    ds, graph, source = rig()
+    stats = group_stats(ds, graph, source)
     totals = stats["label_totals"]
     counts = stats["bcs_histogram"]["counts"]
-    groups = [g for _, g, _ in _index_dataset(ds, GRAPH, "native-2d").groups]
-    _, row = prune_dataset(ds, GRAPH, 1.0)
+    groups = _index_dataset(ds, graph, source).groups
+    _, row = prune_dataset(ds, graph, 1.0, source)
     assert totals["groups"] == len(groups) > 0
     assert totals["grouped_observations"] == sum(len(g.observations) for g in groups)
     assert sum(counts) == totals["grouped_observations"]
     assert len(counts) == len(stats["bcs_histogram"]["bin_edges"]) - 1
     assert (totals["labels"], totals["tracks"]) == (row.remaining, row.tracks)
-    edges = sum(
-        1 for g in groups for p in GRAPH.pairs
-        if {p.camera_a, p.camera_b} <= {o.camera for o in g.observations}
-    )
-    assert sum(stats["per_pair_group_counts"].values()) == edges
+    # each pair's count from the graph and the groups' cameras alone
+    want = {}
+    for g in groups:
+        cams = {o.camera for o in g.observations}
+        for p in graph.pairs:
+            if p.camera_a in cams and p.camera_b in cams:
+                key = f"{p.camera_a}|{p.camera_b}"
+                want[key] = want.get(key, 0) + 1
+    assert len(want) > 1
+    # the chain rig has groups spanning two or more edges
+    assert max(len(g.observations) for g in groups) >= (3 if rig is _chain_rig else 2)
+    assert list(stats["per_pair_group_counts"].items()) == sorted(want.items())
 
 
 # ------------------------------------------------------------ crop prescreen

@@ -10,9 +10,10 @@ import math
 
 import pytest
 
+from conftest import chain_ring_dataset
 from redkit.geometry import centroid_distance, iou3d
 from redkit.ingest import write_dataset
-from redkit.multisource import _index_dataset, prune_dataset
+from redkit.multisource import _index_dataset, prune_dataset, sweep_tau
 from redkit.overlap import build_overlap_graph
 from redkit.synth import (
     GroundTruth,
@@ -197,7 +198,7 @@ def test_ground_truth_groups_match_production(seed):
     graph = build_overlap_graph(scene.cameras, params.min_overlap)
     produced = [
         (group.track_id, frozenset(o.camera for o in group.observations))
-        for _, group, _ in _index_dataset(ds, graph, "native-2d").groups
+        for group in _index_dataset(ds, graph, "native-2d").groups
     ]
     assert sorted(produced) == sorted(truth.expected_groups)
 
@@ -215,14 +216,49 @@ def test_brute_force_prune_agrees(seed):
         assert kept.keys() == brute_force_prune(ds, graph, tau)
 
 
-def test_brute_force_prune_with_pair_overrides():
-    params = SynthParams(seed=55, n_objects=20, n_frames=2)
-    ds, _ = generate_scene(params, cameras=nuscenes_like_cameras())
+def _ring_scene():
+    """The nuScenes-like six-camera ring; every group spans two cameras."""
+    ds, _ = generate_scene(SynthParams(seed=55, n_objects=20, n_frames=2),
+                           cameras=nuscenes_like_cameras())
+    return ds, "native-2d"
+
+
+def _chain_scene():
+    return chain_ring_dataset(), "projected-3d"
+
+
+# spills: the overrides remove labels of cameras outside every overridden pair
+@pytest.mark.parametrize("scene, tau, overrides, spills", [
+    (_ring_scene, 0.8, {("CAM_FRONT", "CAM_FRONT_RIGHT"): 0.05,
+                        ("CAM_BACK", "CAM_BACK_LEFT"): 0.2}, False),
+    # every edge of the four-camera chain above tau: its threshold rises
+    (_chain_scene, 0.1, {("CAM_00", "CAM_01"): 0.5, ("CAM_01", "CAM_02"): 0.5,
+                         ("CAM_02", "CAM_03"): 0.5}, False),
+    # one edge of a chain below tau: the whole chain takes it
+    (_chain_scene, 0.9, {("CAM_00", "CAM_01"): 0.0}, True),
+    # one edge of a chain above tau: the chain's other edges keep tau
+    (_chain_scene, 0.1, {("CAM_01", "CAM_02"): 0.9}, False),
+], ids=["ring", "chain-all-edges-above", "chain-one-edge-below",
+        "chain-one-edge-above"])
+def test_brute_force_prune_with_pair_overrides(scene, tau, overrides, spills):
+    ds, source = scene()
     graph = build_overlap_graph(ds.scenes[0].cameras)
-    overrides = {("CAM_FRONT", "CAM_FRONT_RIGHT"): 0.05,
-                 ("CAM_BACK", "CAM_BACK_LEFT"): 0.2}
-    kept, _ = prune_dataset(ds, graph, 0.8, pair_taus=overrides)
-    assert kept.keys() == brute_force_prune(ds, graph, 0.8, pair_taus=overrides)
+    want = brute_force_prune(ds, graph, tau, source, pair_taus=overrides)
+    kept, _ = prune_dataset(ds, graph, tau, source, pair_taus=overrides)
+    assert kept.keys() == want
+    # the overrides change the outcome, so they are exercised
+    plain = brute_force_prune(ds, graph, tau, source)
+    assert want != plain
+    overridden = {camera for pair in overrides for camera in pair}
+    assert bool({key[2] for key in plain - want} - overridden) == spills
+    labels = brute_force_prune(ds, graph, 1.0, source)
+    taus = [0.0, 0.1, 0.3, 0.5, 0.9, 1.0]
+    rows = sweep_tau(ds, graph, taus, source, pair_taus=overrides)
+    for t, row in zip(taus, rows, strict=True):
+        kept_keys = brute_force_prune(ds, graph, t, source, pair_taus=overrides)
+        assert (row.tau, row.deleted, row.remaining, row.tracks) == (
+            t, len(labels) - len(kept_keys), len(kept_keys),
+            len({(key[0], key[3]) for key in kept_keys}))
 
 
 def test_brute_force_rr_agrees():

@@ -18,6 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
+
+import numpy as np
 
 # Corners with camera-frame depth at or below this value (meters) are dropped
 # before hull computation.
@@ -237,6 +240,68 @@ def project_cuboid(cuboid: Cuboid3D, cam: CameraModel
         return None
     full = Box2D(umin, vmin, umax, vmax)
     return full, full.clip(cam.width, cam.height)
+
+
+# Relative widening of the frustum screen's spheres and planes. The exact
+# projection works on corners rounded to within a few ulps of the cuboid's
+# size and centre coordinates, moves them by the camera translation and
+# rotates them, so each camera-frame corner is off by a few ulps of |centre|
+# + |size| + |translation|: spheres widen with the first two, planes with the
+# last and their own offset, as a margin scaled with the sphere alone would
+# be thinner than the rounding of corners 1e8 m out. The side tests compare
+# u = cx + fx * xc / zc with 0 and the width (v likewise). A surviving corner
+# has zc > NEAR_PLANE_M > 0, so u has the sign of fx * xc + cx * zc, the
+# plane the screen tests, and u - width that of fx * xc + (cx - width) * zc.
+# Rounding is monotone and 0, cx and the width are exact, so only the
+# quotient's rounding, a few ulps of fx * xc / zc, can carry u across either
+# bound; times zc over the plane's norm that is a few ulps of |xc|, inside
+# the same margin. A few ulps (about 1e-15) would do; 1e-9 leaves a wide
+# safety factor and still screens out all but grazing pairs.
+_FRUSTUM_SLACK = 1e-9
+
+
+def frustum_screen(cameras: Sequence[CameraModel], cuboids: Sequence[Cuboid3D]
+                   ) -> np.ndarray:
+    """Which cuboid-camera pairs may project to a visible box.
+
+    ``keep[i, j]`` is False only when :func:`project_cuboid` of
+    ``cuboids[i]`` in ``cameras[j]`` provably returns ``None`` or a box of
+    zero clipped area: the cuboid's bounding sphere, widened by rounding
+    slack, lies wholly at or behind the near plane, or wholly beyond one of
+    the four planes through the camera centre and an image edge (u <= 0,
+    u >= width, v <= 0, v >= height). A comparison involving NaN is not a
+    proof, so such pairs are kept.
+    """
+    planes = []
+    for cam in cameras:
+        r0, r1, r2 = cam.ego_to_cam
+        tx, ty, tz = cam.translation
+        slack = _FRUSTUM_SLACK * (abs(tx) + abs(ty) + abs(tz) + NEAR_PLANE_M)
+        # camera-frame normals pointing into the frustum, and offsets
+        for a0, a1, a2, near in ((0.0, 0.0, 1.0, NEAR_PLANE_M),
+                                 (cam.fx, 0.0, cam.cx, 0.0),
+                                 (-cam.fx, 0.0, cam.width - cam.cx, 0.0),
+                                 (0.0, cam.fy, cam.cy, 0.0),
+                                 (0.0, -cam.fy, cam.height - cam.cy, 0.0)):
+            # the same normal in the ego frame: a . ego_to_cam (p - t)
+            nx = a0 * r0[0] + a1 * r1[0] + a2 * r2[0]
+            ny = a0 * r0[1] + a1 * r1[1] + a2 * r2[1]
+            nz = a0 * r0[2] + a1 * r1[2] + a2 * r2[2]
+            norm = math.hypot(nx, ny, nz)
+            planes.append((nx / norm, ny / norm, nz / norm, 1.0,
+                           (-(nx * tx + ny * ty + nz * tz) - near) / norm + slack))
+    spheres = []
+    for c in cuboids:
+        x, y, z = c.center
+        r = 0.5 * math.hypot(*c.size)
+        spheres.append((x, y, z, r + _FRUSTUM_SLACK * (r + abs(x) + abs(y) + abs(z)),
+                        1.0))
+    # how far each widened sphere reaches to the inner side of each plane:
+    # (x, y, z, radius, 1) . (nx, ny, nz, 1, offset)
+    depth = (np.array(spheres, dtype=np.float64).reshape(-1, 5)
+             @ np.array(planes, dtype=np.float64).reshape(-1, 5).T)
+    outside = depth <= 0.0
+    return ~outside.reshape(len(spheres), len(cameras), 5).any(axis=2)
 
 
 def bcs(full: Box2D, clipped: Box2D) -> float:

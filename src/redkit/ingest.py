@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -278,13 +277,40 @@ def _record(kind: type, ctx: str, *fields: Any) -> Any:
 
 def _file_name_part(value: Any, what: str, ctx: str) -> str:
     """``value`` if it is a string that can only name a file inside the
-    output directory it is joined to: no separators, NUL, ``.`` or ``..``."""
+    output directory it is joined to: no separators, NUL, ``.`` or ``..``,
+    and no lone UTF-16 surrogate, which strict UTF-8 cannot encode."""
     if (not isinstance(value, str) or value in ("", ".", "..")
-            or any(ch in value for ch in "/\\\0")):
+            or any(ch in value for ch in "/\\\0") or not _encodes(value)):
         raise ValidationError(
             f"{ctx}: {what} must be a non-empty string usable as a file name "
-            f"(no '/', '\\', NUL, '.' or '..'), got {value!r}")
+            f"(no '/', '\\', NUL, '.', '..' or lone surrogate), got {value!r}")
     return value
+
+
+def _encodes(value: str) -> bool:
+    # strict UTF-8: os.fsencode's surrogateescape would pass "\udc80"
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _label_file_name(scene_id: str, ts: int, camera: str) -> str:
+    """The name of one frame and camera's label file; a ``ValidationError``
+    when strict UTF-8 cannot encode it or it is longer than common file
+    systems accept."""
+    name = f"{scene_id}__{ts}__{camera}.txt"
+    try:
+        size = len(name.encode("utf-8"))
+    except UnicodeEncodeError:
+        size = None
+    if size is None or size > _MAX_NAME_BYTES:
+        problem = ("holds a lone surrogate" if size is None
+                   else f"is {size} bytes, longer than {_MAX_NAME_BYTES}")
+        raise ValidationError(f"label file name for scene {scene_id!r}, frame "
+                              f"{ts}, camera {camera!r} {problem}")
+    return name
 
 
 def _parse_camera(obj: Any, ctx: str) -> CameraModel:
@@ -407,7 +433,29 @@ def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str,
                 detection_sets[set_name] = tuple(
                     _parse_detection(r, dctx) for r in records)
         frames.append(Frame(ts, tuple(annotations), detection_sets))
+    _check_label_file_names(scene_id, frames, names, ctx)
     return Scene(scene_id, cameras, tuple(frames)), class_map
+
+
+def _check_label_file_names(scene_id: str, frames: Sequence[Frame],
+                            cameras: Sequence[str], ctx: str) -> None:
+    """Every command rejects a scene whose label files ``prune`` could not
+    name. Timestamps increase, so the first or the last has the most
+    characters, and the longest name bounds the others; only a scene that
+    exceeds it is searched for the first name too long."""
+    if not cameras:
+        return
+    digits = max(len(str(frames[0].timestamp_ns)), len(str(frames[-1].timestamp_ns)))
+    longest = (len(scene_id.encode()) + digits + max(len(c.encode()) for c in cameras)
+               + len("____.txt"))
+    if longest <= _MAX_NAME_BYTES:
+        return
+    try:
+        for frame in frames:
+            for camera in cameras:
+                _label_file_name(scene_id, frame.timestamp_ns, camera)
+    except ValidationError as exc:
+        raise ValidationError(f"{ctx}: {exc}") from None
 
 
 def parse_dataset(path: str | Path, *,
@@ -612,14 +660,7 @@ def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D
                             f"{frame.timestamp_ns} of scene {scene.scene_id!r}"
                         )
                     lines.append(_format_label(dataset.class_map[ann.category], box, cam))
-                name = f"{scene.scene_id}__{frame.timestamp_ns}__{cam.name}.txt"
-                size = len(os.fsencode(name))
-                if size > _MAX_NAME_BYTES:
-                    raise ValidationError(
-                        f"label file name for scene {scene.scene_id!r}, frame "
-                        f"{frame.timestamp_ns}, camera {cam.name!r} is {size} "
-                        f"bytes, longer than {_MAX_NAME_BYTES}"
-                    )
+                name = _label_file_name(scene.scene_id, frame.timestamp_ns, cam.name)
                 if name in owners:
                     raise ValidationError(
                         f"label file {name!r} would be written for both scene "

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .geometry import CameraModel, angle_to_column, bcs, check_threshold, \
-    horizontal_fov, normalize_deg, yaw_center
+    frustum_screen, horizontal_fov, normalize_deg, yaw_center
 from .geometry import Box2D
-from .ingest import Dataset, GrayImage, parse_pgm, resolve_box
+from .ingest import LABEL_SOURCES, Annotation, Dataset, GrayImage, Scene, parse_pgm, \
+    resolve_box
 from .overlap import OverlapGraph, OverlapPair
 
 # (scene_id, timestamp_ns, camera, track_id)
@@ -60,16 +61,12 @@ class SweepRow:
     tracks: int
 
 
-def _observations(ann, cameras: Mapping[str, CameraModel], source: str
-                  ) -> list[Observation]:
+def _observations(ann, cameras: Mapping[str, CameraModel], names: Sequence[str],
+                  source: str) -> list[Observation]:
     """An observation exists where the annotation resolves to a box with
-    positive clipped area under ``source``."""
+    positive clipped area under ``source``; only the cameras in ``names``
+    are tried."""
     obs = []
-    if source == "native-2d":
-        # only the cameras that actually carry a box; avoids a full rig scan
-        names = sorted(ann.boxes2d)
-    else:
-        names = sorted(cameras)
     for name in names:
         cam = cameras.get(name)
         if cam is None:
@@ -82,6 +79,31 @@ def _observations(ann, cameras: Mapping[str, CameraModel], source: str
             continue
         obs.append(Observation(name, clipped, bcs(full, clipped)))
     return obs
+
+
+def _annotations(scene: Scene, source: str
+                 ) -> Iterator[tuple[int, Annotation, list[str]]]:
+    """Every annotation of ``scene`` in frame order, with its frame's
+    timestamp and the sorted names of the cameras that may observe it:
+    under ``native-2d`` those it has a box in, under ``projected-3d`` those
+    :func:`frustum_screen` keeps. Any other source is a ``ValueError``."""
+    frames = scene.frames
+    if source == "native-2d":
+        # only the cameras that actually carry a box; avoids a full rig scan
+        return ((f.timestamp_ns, ann, sorted(ann.boxes2d))
+                for f in frames for ann in f.annotations)
+    if source != "projected-3d":
+        raise ValueError(f"unknown label source {source!r}, expected one of "
+                         f"{LABEL_SOURCES}")
+    names = sorted(scene.camera_map)
+    keep = iter(frustum_screen(
+        [scene.camera_map[n] for n in names],
+        [ann.cuboid for f in frames for ann in f.annotations
+         if ann.cuboid is not None]).tolist())
+    return ((f.timestamp_ns, ann,
+             [n for n, k in zip(names, next(keep)) if k]
+             if ann.cuboid is not None else [])
+            for f in frames for ann in f.annotations)
 
 
 def _components(cams: Sequence[str], adjacency: Mapping[str, frozenset[str]]
@@ -148,33 +170,31 @@ def _index_dataset(dataset: Dataset,
         scene_graph = _graph_for(graph, scene.scene_id)
         cameras = scene.camera_map
         sid = scene.scene_id
-        for frame in scene.frames:
-            ts = frame.timestamp_ns
-            for ann in frame.annotations:
-                observations = _observations(ann, cameras, source)
-                if not observations:
-                    continue
-                tracks.add((sid, ann.track_id))
-                keys = [(sid, ts, o.camera, ann.track_id) for o in observations]
-                if not labels.keys().isdisjoint(keys):
-                    key = next(k for k in keys if k in labels)
-                    raise ValueError(
-                        f"label {key!r} occurs twice: a scene id, a frame "
-                        "timestamp in its scene or a track id in its frame "
-                        "is repeated")
-                labels.update(zip(keys, (o.clipped for o in observations)))
-                if len(observations) < 2:
-                    continue
-                # a group is an overlap-graph component with at least two
-                # observing cameras
-                for comp in _components([o.camera for o in observations],
-                                        scene_graph.adjacency):
-                    if len(comp) >= 2:
-                        groups.append(RedundancyGroup(
-                            sid, ts, ann.track_id,
-                            tuple(o for o in observations if o.camera in comp),
-                            tuple(p for p in scene_graph.pairs
-                                  if p.camera_a in comp and p.camera_b in comp)))
+        for ts, ann, names in _annotations(scene, source):
+            observations = _observations(ann, cameras, names, source)
+            if not observations:
+                continue
+            tracks.add((sid, ann.track_id))
+            keys = [(sid, ts, o.camera, ann.track_id) for o in observations]
+            if not labels.keys().isdisjoint(keys):
+                key = next(k for k in keys if k in labels)
+                raise ValueError(
+                    f"label {key!r} occurs twice: a scene id, a frame "
+                    "timestamp in its scene or a track id in its frame "
+                    "is repeated")
+            labels.update(zip(keys, (o.clipped for o in observations)))
+            if len(observations) < 2:
+                continue
+            # a group is an overlap-graph component with at least two
+            # observing cameras
+            for comp in _components([o.camera for o in observations],
+                                    scene_graph.adjacency):
+                if len(comp) >= 2:
+                    groups.append(RedundancyGroup(
+                        sid, ts, ann.track_id,
+                        tuple(o for o in observations if o.camera in comp),
+                        tuple(p for p in scene_graph.pairs
+                              if p.camera_a in comp and p.camera_b in comp)))
     return _DatasetIndex(labels, groups, len(tracks))
 
 

@@ -308,16 +308,64 @@ def test_label_file_name_too_long_fails_the_prune(tmp_path, capsys, ring_dataset
     assert not out.exists()
 
 
+def _scene_id_for_label_names_of(size, scene):
+    """A scene id that makes the scene's longest label file name ``size``
+    bytes long."""
+    longest = max(len(f"__{f.timestamp_ns}__{c.name}.txt")
+                  for f in scene.frames for c in scene.cameras)
+    return "s" * (size - longest)
+
+
+READING_COMMANDS = {"audit": [], "sweep": ["--taus", "0.3"], "prune": ["--tau", "0.3"],
+                    "mm": []}
+
+
+def _rename_first_camera(doc, name):
+    doc["cameras"][0]["name"] = name
+
+
+@pytest.mark.parametrize("command", READING_COMMANDS)
+@pytest.mark.parametrize("field, value", [
+    ("scene_id", "a\ud800b"), ("scene_id", "a\udc80b"),
+    ("camera", "CAM\ud800"), ("camera", "CAM\udc80"),
+    ("scene_id", 256),
+])
+def test_a_string_that_cannot_name_a_file_fails_every_command(
+        tmp_path, capsys, ring_dataset, command, field, value):
+    # a lone surrogate passed the file-name check: prune failed on writing
+    # its labels naming no scene or field, and audit and sweep exited 0; a
+    # label file name over 255 bytes failed prune alone
+    data_dir, ds = ring_dataset
+    too_long = value == 256
+    if too_long:
+        value = _scene_id_for_label_names_of(256, ds.scenes[0])
+    if field == "scene_id":
+        edit_scene_file(data_dir, lambda doc: doc.update(scene_id=value))
+    else:
+        edit_scene_file(data_dir, lambda doc: _rename_first_camera(doc, value))
+    out = tmp_path / "out"
+    assert run_cli(command, "--dataset", data_dir, "--out", out,
+                   *READING_COMMANDS[command]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"redkit {command}: error: ")
+    if too_long:
+        assert "is 256 bytes, longer than 255" in err[0]
+    else:
+        what = "scene_id" if field == "scene_id" else "camera name"
+        assert f"{what} must be a non-empty string usable as a file name" in err[0]
+        assert repr(value) in err[0]
+    assert not out.exists()
+
+
 def test_label_file_name_of_255_bytes_is_written(tmp_path, ring_dataset):
     data_dir, ds = ring_dataset
     scene = ds.scenes[0]
-    longest = max(len(f"__{f.timestamp_ns}__{c.name}.txt")
-                  for f in scene.frames for c in scene.cameras)
-    scene_id = "s" * (255 - longest)
+    scene_id = _scene_id_for_label_names_of(255, scene)
     edit_scene_file(data_dir, lambda doc: doc.update(scene_id=scene_id))
-    out = tmp_path / "pruned"
-    assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", "0.3") == 0
-    names = [p.name for p in (out / "labels").iterdir()]
+    for command, args in READING_COMMANDS.items():
+        assert run_cli(command, "--dataset", data_dir, "--out", tmp_path / command,
+                       *args) == 0
+    names = [p.name for p in (tmp_path / "prune" / "labels").iterdir()]
     assert len(names) == len(scene.frames) * len(scene.cameras)
     assert max(len(name.encode()) for name in names) == 255
 

@@ -4,14 +4,17 @@ Expected values that are not forced by symmetry were computed by hand or
 with a calculator and are frozen here as literals.
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from redkit.geometry import (
+    NEAR_PLANE_M,
     Box2D,
     Box3D,
     CameraModel,
@@ -20,6 +23,7 @@ from redkit.geometry import (
     bcs,
     centroid_distance,
     cuboid_corners,
+    frustum_screen,
     horizontal_fov,
     iou3d,
     normalize_deg,
@@ -160,6 +164,170 @@ def test_project_offscreen_object_clips_to_zero_area():
     if result is not None:
         full, clipped = result
         assert clipped.area == 0.0
+
+
+# ------------------------------------------------------------ frustum screen
+
+
+def check_frustum_screen(cam, cuboid):
+    """The screen keeps every pair the exact projection sees."""
+    keep = frustum_screen([cam], [cuboid])
+    assert keep.shape == (1, 1)
+    result = project_cuboid(cuboid, cam)
+    if result is not None and result[1].area > 0.0:
+        assert keep[0, 0]
+
+
+@st.composite
+def screen_cameras(draw):
+    """Any orientation (backwards, sideways or rolled as well as level),
+    principal points inside or outside the image, mounts up to 1e8 m out."""
+    if draw(st.booleans()):
+        yaw = draw(st.sampled_from([0.0, 90.0, 180.0, -90.0]))
+        rotation = quat_mul(quat_about_z(yaw), FORWARD_CAMERA_ROTATION)
+    else:
+        q = [draw(st.floats(-1.0, 1.0)) for _ in range(4)]
+        norm = math.sqrt(sum(x * x for x in q))
+        assume(norm > 0.1)
+        rotation = tuple(x / norm for x in q)
+    sides = st.one_of(st.integers(1, 4000), st.integers(1, 10**7))
+    width, height = draw(sides), draw(sides)
+    # fields of view from nearly 0 to nearly 180 degrees
+    focal = st.one_of(st.floats(1.0, 1e4), st.floats(1e-3, 1e6))
+
+    def principal(side):
+        return st.one_of(st.just(0.0), st.just(float(side)),
+                         st.floats(-2.0 * side, 3.0 * side))
+
+    coordinate = st.one_of(st.just(0.0), st.floats(-50.0, 50.0),
+                           st.floats(-1e8, 1e8))
+    return CameraModel(
+        name="CAM", fx=draw(focal), fy=draw(focal), cx=draw(principal(width)),
+        cy=draw(principal(height)), width=width, height=height,
+        rotation=rotation, translation=tuple(draw(coordinate) for _ in range(3)))
+
+
+# camera-frame inward normals of the near plane and of the planes through
+# the camera centre and the image edges u = 0, u = width, v = 0, v = height
+def _plane_normals(cam):
+    return ((0.0, 0.0, 1.0), (cam.fx, 0.0, cam.cx),
+            (-cam.fx, 0.0, cam.width - cam.cx), (0.0, cam.fy, cam.cy),
+            (0.0, -cam.fy, cam.height - cam.cy))
+
+
+def _to_ego(cam, vec, origin):
+    m = cam.rot_matrix
+    return tuple(origin[i] + sum(m[i][k] * vec[k] for k in range(3))
+                 for i in range(3))
+
+
+def touching_cuboid(cam, plane, u, v, depth, r, spread, nudge):
+    """A cuboid whose bounding sphere of radius ``r`` touches one of the
+    camera's frustum planes (an index into :func:`_plane_normals`) from
+    outside at one of its corners, that corner at pixel ``(u, v)`` and
+    camera depth ``depth`` moved ``nudge`` metres to the inner side."""
+    touch = _to_ego(cam, ((u - cam.cx) * depth / cam.fx,
+                          (v - cam.cy) * depth / cam.fy, depth), cam.translation)
+    n = _to_ego(cam, _plane_normals(cam)[plane], (0.0, 0.0, 0.0))
+    norm = math.hypot(*n)
+    n = tuple(c / norm for c in n)
+    corner = tuple(c + nudge * d for c, d in zip(touch, n))
+    # the centre-to-corner diagonal runs along n: corner 0 of the footprint
+    # is local (+x, +y), so the yaw turns (hl, hw) onto n's bearing
+    horizontal = max(r * math.hypot(n[0], n[1]), 1e-9 * r)
+    hl, hw = horizontal * math.cos(spread), horizontal * math.sin(spread)
+    hh = max(r * abs(n[2]), 1e-9 * r)
+    yaw = math.atan2(n[1], n[0]) - spread
+    center = (corner[0] - r * n[0], corner[1] - r * n[1],
+              corner[2] - math.copysign(hh, n[2]))
+    return Cuboid3D(center, (2.0 * hl, 2.0 * hw, 2.0 * hh), yaw)
+
+
+@st.composite
+def frustum_edge_cases(draw):
+    """A camera and a cuboid touching one frustum plane at a corner nudged
+    across it by up to a few ulps of its coordinates, or by up to 1 mm; the
+    touching point lies 0.2 m to 1e8 m in front of the camera."""
+    cam = draw(screen_cameras())
+    plane = draw(st.integers(0, 4))
+    depth = NEAR_PLANE_M if plane == 0 else draw(
+        st.one_of(st.floats(0.2, 100.0), st.floats(1e6, 1e8)))
+    u = {1: 0.0, 2: float(cam.width)}.get(plane, draw(st.floats(0.0, cam.width)))
+    v = {3: 0.0, 4: float(cam.height)}.get(plane, draw(st.floats(0.0, cam.height)))
+    r = draw(st.floats(1e-3, 30.0))
+    scale = depth * (1.0 + abs(u - cam.cx) / cam.fx + abs(v - cam.cy) / cam.fy) \
+        + sum(abs(c) for c in cam.translation) + r
+    ulps = st.integers(-4, 4).map(lambda k: k * 1.1e-16 * scale)
+    nudge = draw(st.one_of(st.just(0.0), ulps, st.floats(-1e-3, 1e-3)))
+    return cam, touching_cuboid(cam, plane, u, v, depth, r,
+                                draw(st.floats(0.1, 1.47)), nudge)
+
+
+@settings(max_examples=600, deadline=None)
+@given(frustum_edge_cases())
+def test_frustum_screen_keeps_cuboids_touching_a_plane(case):
+    check_frustum_screen(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(screen_cameras(),
+       st.tuples(*[st.one_of(st.floats(-200.0, 200.0), st.floats(-1e8, 1e8))] * 3),
+       st.tuples(*[st.floats(1e-3, 50.0)] * 3), st.floats(-math.pi, math.pi),
+       st.booleans())
+def test_frustum_screen_keeps_what_the_projection_sees(cam, offset, size, yaw,
+                                                       mounted):
+    # centres near the camera or anywhere up to 1e8 m from it or the origin
+    origin = cam.translation if mounted else (0.0, 0.0, 0.0)
+    center = tuple(o + d for o, d in zip(origin, offset))
+    check_frustum_screen(cam, Cuboid3D(center, size, yaw))
+
+
+# rolled orientations whose rotation matrices have no zero entry, so the
+# rounding of the projection and of the screen do not line up
+_ROLLED = [(math.cos(i), math.sin(2 * i), math.cos(3 * i), math.sin(5 * i))
+           for i in range(1, 9)]
+
+
+@pytest.mark.parametrize("far", ["centre", "mount"])
+def test_frustum_screen_keeps_grazing_cuboids_far_out(far):
+    # a corner on a side plane to within a few ulps, 1e6 to 1e8 m in front
+    # of the camera, nudged in steps under an ulp: rounding decides
+    # whether the projection sees a sliver of it. The camera sits near the origin ("centre": the cuboid is far
+    # out) or far out, placed so that the cuboid sits at the origin
+    # ("mount"); a margin that ignores the centre or the translation drops
+    # some of these.
+    for q, plane, depth, r, k in itertools.product(
+            _ROLLED, range(1, 5), (1e6, 1e7, 1e8), (1e-3, 1.0), range(-8, 9)):
+        norm = math.sqrt(sum(c * c for c in q))
+        cam = CameraModel("CAM", 1142.5, 1142.5, 800.0, 450.0, 1600, 900,
+                          tuple(c / norm for c in q), (3.0, -2.0, 1.5))
+        u = {1: 0.0, 2: float(cam.width)}.get(plane, 0.3 * cam.width)
+        v = {3: 0.0, 4: float(cam.height)}.get(plane, 0.6 * cam.height)
+        if far == "mount":
+            touch = ((u - cam.cx) * depth / cam.fx, (v - cam.cy) * depth / cam.fy,
+                     depth)
+            cam = dataclasses.replace(cam, translation=tuple(
+                -c for c in _to_ego(cam, touch, (0.0, 0.0, 0.0))))
+        scale = 3.0 * depth + sum(abs(c) for c in cam.translation)
+        check_frustum_screen(cam, touching_cuboid(cam, plane, u, v, depth, r,
+                                                  0.7, k * 2e-17 * scale))
+
+
+def test_frustum_screen_drops_only_provably_unseen_pairs():
+    cam = make_front_camera()
+    ahead = Cuboid3D((10.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
+    behind = Cuboid3D((-10.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
+    # 60 degrees left, outside the 77.3 degree field of view
+    aside = Cuboid3D((5.0, 8.66, 0.0), (1.0, 1.0, 1.0), 0.0)
+    # through both cameras' near planes: each sees one end
+    straddling = Cuboid3D((0.0, 0.0, 0.0), (10.0, 1.0, 1.0), 0.0)
+    unknown = Cuboid3D((math.nan, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
+    keep = frustum_screen([cam, camera_at_yaw("CAM_BACK", 180.0)],
+                          [ahead, behind, aside, straddling, unknown])
+    assert keep.tolist() == [[True, False], [False, True], [False, False],
+                             [True, True], [True, True]]
+    assert frustum_screen([cam], []).shape == (0, 1)
+    assert frustum_screen([], [ahead]).shape == (1, 0)
 
 
 # ----------------------------------------------------------------------- bcs

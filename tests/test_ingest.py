@@ -160,7 +160,9 @@ def test_annotation_needs_some_geometry(tmp_path, minimal_scene_dict):
 
 
 @pytest.mark.parametrize("field", ["scene_id", "camera name"])
-@pytest.mark.parametrize("name", ["../evil", "..", ".", "", "a/b", "a\\b", "a\0b", 5, None])
+@pytest.mark.parametrize("name", ["../evil", "..", ".", "", "a/b", "a\\b", "a\0b", 5, None,
+                                  # lone surrogates, which strict UTF-8 cannot encode
+                                  "a\ud800b", "a\udc80b"])
 def test_names_that_form_file_names_must_be_safe(tmp_path, minimal_scene_dict,
                                                  field, name):
     doc = copy.deepcopy(minimal_scene_dict)
@@ -595,6 +597,20 @@ def test_kept_key_naming_no_frame_or_camera_is_rejected(tmp_path, key):
     kept = {("scene-0", 0, "CAM_FRONT", "t0"): Box2D(10.0, 10.0, 20.0, 20.0),
             key: Box2D(10.0, 10.0, 20.0, 20.0)}
     with pytest.raises(ValidationError, match=re.escape(repr(key))):
+        emit_labels(dataset_of(scene), kept, tmp_path / "labels")
+    assert not (tmp_path / "labels").exists()
+
+
+@pytest.mark.parametrize("scene_id", ["a\ud800b", "a\udc80b"])
+def test_label_file_name_holding_a_lone_surrogate_is_rejected(tmp_path, scene_id):
+    # an in-memory scene skips the parser's name check: "\ud800" used to
+    # fail with a bare UnicodeEncodeError, and "\udc80" wrote a file whose
+    # name is not UTF-8
+    cams = two_overlapping_cameras()
+    scene = scene_with_boxes(cams, [{"t0": {"CAM_FRONT": Box2D(10.0, 10.0, 20.0, 20.0)}}],
+                             scene_id=scene_id)
+    kept = {(scene_id, 0, "CAM_FRONT", "t0"): Box2D(10.0, 10.0, 20.0, 20.0)}
+    with pytest.raises(ValidationError, match="holds a lone surrogate"):
         emit_labels(dataset_of(scene), kept, tmp_path / "labels")
     assert not (tmp_path / "labels").exists()
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import redkit.multisource
 from conftest import box_with_bcs, chain_ring_dataset, dataset_of, scene_with_boxes
 from redkit.geometry import Box2D
 from redkit.ingest import Frame, GrayImage, Scene, resolve_box
@@ -267,6 +268,15 @@ def test_nan_thresholds_rejected():
         sweep_tau(ds, GRAPH, [0.2, float("inf")])
 
 
+def test_unknown_label_source_is_rejected_without_annotations():
+    # only resolve_box checked the source, so a scene without annotations
+    # let any name through
+    ds = dataset_of(Scene(scene_id="s", cameras=tuple(RING.values()),
+                          frames=(Frame(0, ()),)))
+    with pytest.raises(ValueError, match="unknown label source 'bogus'"):
+        prune_dataset(ds, GRAPH, 0.3, "bogus")
+
+
 @pytest.mark.parametrize("cause", ["track", "timestamp", "scene"])
 def test_two_labels_under_one_key_are_rejected(cause):
     # parse_dataset prevents each cause; an in-memory dataset does not. The
@@ -309,6 +319,24 @@ def test_kept_box_is_the_resolved_clipped_box(seed, source):
             cut += full != clipped
     # boxes cut by the image border tell the clipped box from the full one
     assert cut > 0
+
+
+def test_projection_skips_the_pairs_the_screen_drops(monkeypatch):
+    # ten 60-degree cameras: most cuboids lie outside most cameras' views,
+    # so the frustum screen spares most of the rig's projections
+    ds = chain_ring_dataset()
+    scene = ds.scenes[0]
+    calls = []
+
+    def counting_resolve_box(ann, cam, source):
+        calls.append((ann.track_id, cam.name))
+        return resolve_box(ann, cam, source)
+
+    monkeypatch.setattr(redkit.multisource, "resolve_box", counting_resolve_box)
+    _, row = prune_dataset(ds, build_overlap_graph(scene.cameras), 1.0,
+                           "projected-3d")
+    pairs = sum(len(f.annotations) for f in scene.frames) * len(scene.cameras)
+    assert row.remaining <= len(calls) < pairs / 3
 
 
 def all_keys(ds):

@@ -9,9 +9,11 @@ literals.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_ring_dataset
-from redkit.geometry import centroid_distance, iou3d
+from redkit.geometry import centroid_distance, iou3d, normalize_deg
 from redkit.ingest import write_dataset
 from redkit.multisource import _index_dataset, prune_dataset, sweep_tau
 from redkit.overlap import build_overlap_graph
@@ -259,6 +261,37 @@ def test_brute_force_prune_with_pair_overrides(scene, tau, overrides, spills):
         assert (row.tau, row.deleted, row.remaining, row.tracks) == (
             t, len(labels) - len(kept_keys), len(kept_keys),
             len({(key[0], key[3]) for key in kept_keys}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(8, 12), st.floats(50.0, 70.0),
+       st.floats(-180.0, 180.0), st.floats(0.0, 2.0), st.data())
+def test_projected_prune_agrees_on_random_rings(seed, n_cams, fov, spin, mount,
+                                                data):
+    # rings like the rig_requests benchmark's, every camera mounted up to
+    # 2 m off the ego origin, pruned with and without a pair override: the
+    # projection screen must not change one projected-3d label
+    jitter = st.floats(-2.0, 2.0)
+    cameras = []
+    for j in range(n_cams):
+        yaw = normalize_deg(spin + j * 360.0 / n_cams + data.draw(jitter))
+        bearing = math.radians(yaw)
+        cameras.append(camera_at_yaw(
+            f"CAM_{j:02d}", yaw, fov,
+            translation=(mount * math.cos(bearing), mount * math.sin(bearing),
+                         data.draw(st.floats(0.0, 2.0)))))
+    ds, _ = generate_scene(SynthParams(seed=seed, n_objects=10, n_frames=2,
+                                       radial_range=(2.0, 40.0)), cameras=cameras)
+    graph = build_overlap_graph(cameras)
+    overrides = {}
+    if graph.pairs and data.draw(st.booleans()):
+        pair = data.draw(st.sampled_from(graph.pairs))
+        overrides[(pair.camera_a, pair.camera_b)] = data.draw(
+            st.sampled_from([0.0, 0.05, 0.5, 0.8]))
+    for tau in (0.0, 0.3, 1.0):
+        kept, _ = prune_dataset(ds, graph, tau, "projected-3d", overrides)
+        assert kept.keys() == brute_force_prune(ds, graph, tau, "projected-3d",
+                                                overrides)
 
 
 def test_brute_force_rr_agrees():

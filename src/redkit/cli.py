@@ -9,6 +9,7 @@ runs on identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import gc
 import json
@@ -22,7 +23,6 @@ from .geometry import check_threshold
 from .ingest import (
     LABEL_SOURCES,
     Dataset,
-    ParseError,
     ValidationError,
     emit_labels,
     parse_dataset,
@@ -281,21 +281,13 @@ def _write_ttest(path: Path, ttest: dict) -> None:
 
 
 def cmd_sim(args: argparse.Namespace) -> list[Path]:
-    """Generate a synthetic scene and write it in the canonical schema."""
-    params = SynthParams(
-        seed=args.seed,
-        n_cameras=args.n_cameras,
-        camera_fov=args.camera_fov,
-        # an empty list means the default even spacing
-        camera_yaw_offsets=args.yaw_offsets or None,
-        n_objects=args.n_objects,
-        n_frames=args.n_frames,
-        radial_range=args.radial_range,
-        size_range=args.size_range,
-        detection_noise=args.detection_noise,
-        drop_rate=args.drop_rate,
-        min_overlap=args.min_overlap,
-    )
+    """Generate a synthetic scene and write it in the canonical schema.
+
+    Each option is named after its :class:`SynthParams` field; one left
+    out, and an empty ``--yaw-offsets`` list, take the field's default."""
+    params = SynthParams(**{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(SynthParams)
+        if getattr(args, f.name) not in (None, ())})
     cameras = nuscenes_like_cameras() if args.nuscenes_ring else None
     dataset, _ = generate_scene(params, cameras)
     return write_dataset(dataset, _out_dir(args))
@@ -401,17 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("sim", help="write a seeded synthetic scene")
     p_sim.add_argument("--out", help=f"output directory (or set {OUTPUT_DIR_ENV})")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--n-cameras", type=int, default=6)
-    p_sim.add_argument("--camera-fov", type=float, default=70.0)
-    p_sim.add_argument("--yaw-offsets", type=_float_list,
+    # each option below stores to its SynthParams field and has that
+    # field's default
+    p_sim.add_argument("--n-cameras", type=int)
+    p_sim.add_argument("--camera-fov", type=float)
+    p_sim.add_argument("--yaw-offsets", type=_float_list, dest="camera_yaw_offsets",
+                       metavar="YAW_OFFSETS",
                        help="comma-separated camera yaws; default evenly spaced")
-    p_sim.add_argument("--n-objects", type=int, default=8)
-    p_sim.add_argument("--n-frames", type=int, default=1)
-    p_sim.add_argument("--radial-range", type=_float_pair, default=(4.0, 40.0))
-    p_sim.add_argument("--size-range", type=_float_pair, default=(1.0, 4.0))
-    p_sim.add_argument("--detection-noise", type=float, default=0.0)
-    p_sim.add_argument("--drop-rate", type=float, default=0.0)
-    p_sim.add_argument("--min-overlap", type=float, default=1.0)
+    p_sim.add_argument("--n-objects", type=int)
+    p_sim.add_argument("--n-frames", type=int)
+    p_sim.add_argument("--radial-range", type=_float_pair)
+    p_sim.add_argument("--size-range", type=_float_pair)
+    p_sim.add_argument("--detection-noise", type=float)
+    p_sim.add_argument("--drop-rate", type=float)
+    p_sim.add_argument("--min-overlap", type=float)
     p_sim.add_argument("--nuscenes-ring", action="store_true",
                        help="use the standard six-camera rig instead of an even ring")
 
@@ -455,7 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.disable()
     try:
         _COMMANDS[args.command](args)
-    except (ParseError, ValidationError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"redkit {args.command}: error: {exc}", file=sys.stderr)
         return 1
     finally:

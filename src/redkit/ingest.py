@@ -64,6 +64,55 @@ class ValidationError(ValueError):
     """Raised when a decoded document violates the schema contract."""
 
 
+def _file_name_part(value: Any, what: str) -> str:
+    """``value`` if it is a string that can only name a file inside the
+    output directory it is joined to: no separators, NUL, ``.`` or ``..``,
+    and no lone UTF-16 surrogate, which strict UTF-8 cannot encode."""
+    if (not isinstance(value, str) or value in ("", ".", "..")
+            or any(ch in value for ch in "/\\\0") or not _encodes(value)):
+        raise ValidationError(
+            f"{what} must be a non-empty string usable as a file name "
+            f"(no '/', '\\', NUL, '.', '..' or lone surrogate), got {value!r}")
+    return value
+
+
+def _encodes(value: str) -> bool:
+    # strict UTF-8: os.fsencode's surrogateescape would pass "\udc80"
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _label_file_name(scene_id: str, ts: int, camera: str) -> str:
+    """The name of one frame and camera's label file."""
+    return f"{scene_id}__{ts}__{camera}.txt"
+
+
+def _check_label_file_names(scene_id: str, frames: Sequence[Frame],
+                            cameras: Sequence[str]) -> None:
+    """Reject a scene with a label file name over the byte limit of common
+    file systems. Timestamps increase, so the first or the last has the most
+    characters, and the longest name bounds the others; only a scene that
+    exceeds it is searched for the first name too long."""
+    if not cameras:
+        return
+    digits = max(len(str(frames[0].timestamp_ns)), len(str(frames[-1].timestamp_ns)))
+    longest = (len(scene_id.encode()) + digits + max(len(c.encode()) for c in cameras)
+               + len("____.txt"))
+    if longest <= _MAX_NAME_BYTES:
+        return
+    for frame in frames:
+        for camera in cameras:
+            size = len(_label_file_name(scene_id, frame.timestamp_ns, camera).encode())
+            if size > _MAX_NAME_BYTES:
+                raise ValidationError(
+                    f"label file name for scene {scene_id!r}, frame "
+                    f"{frame.timestamp_ns}, camera {camera!r} is {size} bytes, "
+                    f"longer than {_MAX_NAME_BYTES}")
+
+
 @dataclass(frozen=True)
 class Annotation:
     """One object instance in one frame."""
@@ -82,16 +131,51 @@ class Annotation:
 
 @dataclass(frozen=True)
 class Frame:
+    """One timestamp's annotations, at most one per track."""
+
     timestamp_ns: int
     annotations: tuple[Annotation, ...] = ()
     detection_sets: dict[str, tuple[Box3D, ...]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        tracks: set[str] = set()
+        for ann in self.annotations:
+            if ann.track_id in tracks:
+                raise ValidationError(f"duplicate track_id {ann.track_id!r}")
+            tracks.add(ann.track_id)
+
 
 @dataclass(frozen=True)
 class Scene:
+    """One rig's frames, checked for every rule that makes each label key
+    and label file name of the scene well defined."""
+
     scene_id: str
     cameras: tuple[CameraModel, ...]
     frames: tuple[Frame, ...]
+
+    def __post_init__(self) -> None:
+        _file_name_part(self.scene_id, "scene_id")
+        names = [_file_name_part(c.name, "camera name") for c in self.cameras]
+        known = frozenset(names)
+        if len(known) != len(names):
+            raise ValidationError("duplicate camera name")
+        if not self.frames:
+            raise ValidationError("a scene needs at least one frame")
+        prev_ts = None
+        for frame in self.frames:
+            ts = frame.timestamp_ns
+            if prev_ts is not None and ts <= prev_ts:
+                raise ValidationError(
+                    f"frame {ts}: timestamps must be strictly increasing")
+            prev_ts = ts
+            for ann in frame.annotations:
+                if not known.issuperset(ann.boxes2d):
+                    camera = next(c for c in ann.boxes2d if c not in known)
+                    raise ValidationError(
+                        f"frame {ts} annotation {ann.track_id!r}: 2D box names "
+                        f"unknown camera {camera!r}")
+        _check_label_file_names(self.scene_id, self.frames, names)
 
     @cached_property
     def camera_map(self) -> dict[str, CameraModel]:
@@ -100,10 +184,25 @@ class Scene:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable collection of scenes sharing one class map."""
+    """Immutable collection of scenes with unique ids sharing one class map,
+    which holds every annotation's category."""
 
     scenes: tuple[Scene, ...]
     class_map: dict[str, int]
+
+    def __post_init__(self) -> None:
+        scene_ids: set[str] = set()
+        for scene in self.scenes:
+            if scene.scene_id in scene_ids:
+                raise ValidationError(f"duplicate scene_id {scene.scene_id!r}")
+            scene_ids.add(scene.scene_id)
+            for frame in scene.frames:
+                for ann in frame.annotations:
+                    if ann.category not in self.class_map:
+                        raise ValidationError(
+                            f"scene {scene.scene_id!r} frame {frame.timestamp_ns} "
+                            f"annotation {ann.track_id!r}: category "
+                            f"{ann.category!r} not in the class map")
 
 
 class GrayImage:
@@ -275,47 +374,9 @@ def _record(kind: type, ctx: str, *fields: Any) -> Any:
         raise ValidationError(f"{ctx}: {exc}") from None
 
 
-def _file_name_part(value: Any, what: str, ctx: str) -> str:
-    """``value`` if it is a string that can only name a file inside the
-    output directory it is joined to: no separators, NUL, ``.`` or ``..``,
-    and no lone UTF-16 surrogate, which strict UTF-8 cannot encode."""
-    if (not isinstance(value, str) or value in ("", ".", "..")
-            or any(ch in value for ch in "/\\\0") or not _encodes(value)):
-        raise ValidationError(
-            f"{ctx}: {what} must be a non-empty string usable as a file name "
-            f"(no '/', '\\', NUL, '.', '..' or lone surrogate), got {value!r}")
-    return value
-
-
-def _encodes(value: str) -> bool:
-    # strict UTF-8: os.fsencode's surrogateescape would pass "\udc80"
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
-def _label_file_name(scene_id: str, ts: int, camera: str) -> str:
-    """The name of one frame and camera's label file; a ``ValidationError``
-    when strict UTF-8 cannot encode it or it is longer than common file
-    systems accept."""
-    name = f"{scene_id}__{ts}__{camera}.txt"
-    try:
-        size = len(name.encode("utf-8"))
-    except UnicodeEncodeError:
-        size = None
-    if size is None or size > _MAX_NAME_BYTES:
-        problem = ("holds a lone surrogate" if size is None
-                   else f"is {size} bytes, longer than {_MAX_NAME_BYTES}")
-        raise ValidationError(f"label file name for scene {scene_id!r}, frame "
-                              f"{ts}, camera {camera!r} {problem}")
-    return name
-
-
 def _parse_camera(obj: Any, ctx: str) -> CameraModel:
     _typed(obj, dict, "camera", ctx)
-    name = _file_name_part(_ctx_get(obj, "name", ctx), "camera name", ctx)
+    name = _ctx_get(obj, "name", ctx)
     c = f"{ctx} camera {name!r}"
     intr = _typed(_ctx_get(obj, "intrinsics", c), dict, "intrinsics", c)
     extr = _typed(_ctx_get(obj, "extrinsics", c), dict, "extrinsics", c)
@@ -345,21 +406,15 @@ def _parse_detection(obj: Any, ctx: str) -> Box3D:
                    _finite(_ctx_get(obj, "score", ctx), "score", ctx))
 
 
-def _parse_annotation(obj: Any, camera_names: frozenset[str],
-                      class_map: Mapping[str, int], ctx: str) -> Annotation:
+def _parse_annotation(obj: Any, ctx: str) -> Annotation:
     track_id = _typed(_ctx_get(obj, "track_id", ctx), str, "track_id", ctx)
-    category = _ctx_get(obj, "category", ctx)
     c = f"{ctx} annotation {track_id!r}"
-    _typed(category, str, "category", c)
-    if category not in class_map:
-        raise ValidationError(f"{c}: category {category!r} not in the class map")
+    category = _typed(_ctx_get(obj, "category", ctx), str, "category", c)
     cuboid = None
     if obj.get("cuboid") is not None:
         cuboid = _parse_cuboid(obj["cuboid"], c)
     boxes2d: dict[str, Box2D] = {}
     for cam_name, box in _typed(obj.get("boxes2d") or {}, dict, "boxes2d", c).items():
-        if cam_name not in camera_names:
-            raise ValidationError(f"{c}: 2D box names unknown camera {cam_name!r}")
         bc = f"{c} box in {cam_name!r}"
         _typed(box, dict, "box", bc)
         coords = (_ctx_get(box, "x0", bc), _ctx_get(box, "y0", bc),
@@ -375,7 +430,7 @@ def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str,
                  parts: frozenset[str]) -> tuple[Scene, dict[str, int]]:
     if not isinstance(doc, Mapping):
         raise ParseError(f"{ctx}: top level must be an object")
-    scene_id = _file_name_part(_ctx_get(doc, "scene_id", ctx), "scene_id", ctx)
+    scene_id = _ctx_get(doc, "scene_id", ctx)
     ctx = f"{ctx} scene {scene_id!r}"
 
     classes = _ctx_get(doc, "class_map", ctx)
@@ -391,16 +446,8 @@ def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str,
         _parse_camera(c, ctx)
         for c in _typed(_ctx_get(doc, "cameras", ctx), list, "cameras", ctx)
     )
-    names = [c.name for c in cameras]
-    if len(set(names)) != len(names):
-        raise ValidationError(f"{ctx}: duplicate camera name")
-    camera_names = frozenset(names)
-
     raw_frames = _typed(_ctx_get(doc, "frames", ctx), list, "frames", ctx)
-    if not raw_frames:
-        raise ValidationError(f"{ctx}: a scene needs at least one frame")
     frames = []
-    prev_ts = None
     for i, fobj in enumerate(raw_frames):
         _typed(fobj, dict, f"frame {i}", ctx)
         ts = _ctx_get(fobj, "timestamp_ns", ctx)
@@ -408,22 +455,12 @@ def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str,
         if type(ts) is not int:
             raise ParseError(f"{ctx}: timestamp_ns must be an integer, got {ts!r}")
         fctx = f"{ctx} frame {ts}"
-        if prev_ts is not None and ts <= prev_ts:
-            raise ValidationError(f"{fctx}: timestamps must be strictly increasing")
-        prev_ts = ts
         annotations = []
         raw_annotations = _typed(fobj.get("annotations", []), list, "annotations", fctx)
         if "annotations" in parts:
-            seen_tracks = set()
             for j, aobj in enumerate(raw_annotations):
                 _typed(aobj, dict, f"annotation {j}", fctx)
-                ann = _parse_annotation(aobj, camera_names, class_map, fctx)
-                if ann.track_id in seen_tracks:
-                    raise ValidationError(
-                        f"{fctx}: duplicate track_id {ann.track_id!r}"
-                    )
-                seen_tracks.add(ann.track_id)
-                annotations.append(ann)
+                annotations.append(_parse_annotation(aobj, fctx))
         detection_sets = {}
         raw_sets = _typed(fobj.get("detection_sets") or {}, dict, "detection_sets", fctx)
         for set_name, records in raw_sets.items():
@@ -432,30 +469,8 @@ def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str,
             if "detection_sets" in parts:
                 detection_sets[set_name] = tuple(
                     _parse_detection(r, dctx) for r in records)
-        frames.append(Frame(ts, tuple(annotations), detection_sets))
-    _check_label_file_names(scene_id, frames, names, ctx)
-    return Scene(scene_id, cameras, tuple(frames)), class_map
-
-
-def _check_label_file_names(scene_id: str, frames: Sequence[Frame],
-                            cameras: Sequence[str], ctx: str) -> None:
-    """Every command rejects a scene whose label files ``prune`` could not
-    name. Timestamps increase, so the first or the last has the most
-    characters, and the longest name bounds the others; only a scene that
-    exceeds it is searched for the first name too long."""
-    if not cameras:
-        return
-    digits = max(len(str(frames[0].timestamp_ns)), len(str(frames[-1].timestamp_ns)))
-    longest = (len(scene_id.encode()) + digits + max(len(c.encode()) for c in cameras)
-               + len("____.txt"))
-    if longest <= _MAX_NAME_BYTES:
-        return
-    try:
-        for frame in frames:
-            for camera in cameras:
-                _label_file_name(scene_id, frame.timestamp_ns, camera)
-    except ValidationError as exc:
-        raise ValidationError(f"{ctx}: {exc}") from None
+        frames.append(_record(Frame, fctx, ts, tuple(annotations), detection_sets))
+    return _record(Scene, ctx, scene_id, cameras, tuple(frames)), class_map
 
 
 def parse_dataset(path: str | Path, *,
@@ -486,7 +501,6 @@ def parse_dataset(path: str | Path, *,
         raise ValidationError(f"{p}: no such file or directory")
     scenes = []
     class_map: dict[str, int] | None = None
-    seen_ids = set()
     for f in files:
         try:
             doc = json.loads(f.read_text(encoding="utf-8"))
@@ -497,11 +511,8 @@ def parse_dataset(path: str | Path, *,
             # not UTF-8
             raise ParseError(f"{f}: {exc}") from None
         scene, class_map = _parse_scene(doc, class_map, str(f), parts)
-        if scene.scene_id in seen_ids:
-            raise ValidationError(f"{f}: duplicate scene_id {scene.scene_id!r}")
-        seen_ids.add(scene.scene_id)
         scenes.append(scene)
-    return Dataset(tuple(scenes), class_map or {})
+    return _record(Dataset, str(p), tuple(scenes), class_map or {})
 
 
 # --------------------------------------------------------------------------
@@ -634,9 +645,10 @@ def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D
     ``class_id xc yc w h`` with center/size normalized by the image
     dimensions, six decimals, LF endings, sorted by track id. Frames with no
     kept boxes in a camera still get their (empty) file. A key naming a
-    scene, frame, camera or track the dataset lacks is an error. Every file is
-    formatted, and its name checked for length and against the others,
-    before ``out_dir`` is created and the first one written.
+    scene, frame, camera or track the dataset lacks is an error. The
+    records already checked each name on its own, so emission checks the
+    names only against each other; every file is formatted, and its name
+    checked, before ``out_dir`` is created and the first one written.
     """
     kept_index: dict[tuple[str, int, str], dict[str, Box2D]] = {}
     for (scene_id, ts, camera, track_id), box in kept.items():

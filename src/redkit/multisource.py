@@ -68,10 +68,7 @@ def _observations(ann, cameras: Mapping[str, CameraModel], names: Sequence[str],
     are tried."""
     obs = []
     for name in names:
-        cam = cameras.get(name)
-        if cam is None:
-            continue
-        resolved = resolve_box(ann, cam, source)
+        resolved = resolve_box(ann, cameras[name], source)
         if resolved is None:
             continue
         full, clipped = resolved
@@ -175,14 +172,8 @@ def _index_dataset(dataset: Dataset,
             if not observations:
                 continue
             tracks.add((sid, ann.track_id))
-            keys = [(sid, ts, o.camera, ann.track_id) for o in observations]
-            if not labels.keys().isdisjoint(keys):
-                key = next(k for k in keys if k in labels)
-                raise ValueError(
-                    f"label {key!r} occurs twice: a scene id, a frame "
-                    "timestamp in its scene or a track id in its frame "
-                    "is repeated")
-            labels.update(zip(keys, (o.clipped for o in observations)))
+            for o in observations:
+                labels[(sid, ts, o.camera, ann.track_id)] = o.clipped
             if len(observations) < 2:
                 continue
             # a group is an overlap-graph component with at least two

@@ -1,9 +1,12 @@
 """Shared fixture builders for the redkit test suite."""
 
+import json
+
 import pytest
+from hypothesis import strategies as st
 
 from redkit.geometry import Box2D, CameraModel
-from redkit.ingest import Annotation, Dataset, Frame, Scene
+from redkit.ingest import Annotation, Dataset, Frame, Scene, scene_to_dict
 from redkit.synth import SynthParams, camera_at_yaw, generate_scene, nuscenes_like_cameras
 
 
@@ -73,3 +76,55 @@ def box_with_bcs(fraction, cam: CameraModel, row=100.0):
     width = 10.0
     x1 = width * fraction
     return Box2D(x1 - width, row, x1, row + 10.0)
+
+
+# single-field edits of a valid scene file, which the parser's and the
+# command line's property tests share
+
+# an integer literal with 401 digits: valid JSON, and no float can hold it
+HUGE = 10**400
+
+
+def holder(doc, path):
+    """The container in ``doc`` that holds the value at ``path``, and the
+    value's key or index there."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    return doc, last
+
+
+def json_paths(doc, prefix=()):
+    """The path of every value inside ``doc``, the root excluded."""
+    keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
+    for key in keys:
+        path = prefix + (key,)
+        yield path
+        if isinstance(doc[key], (dict, list)):
+            yield from json_paths(doc[key], path)
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.text(max_size=8) | st.integers()
+    # integers that no float holds
+    | st.sampled_from([2**1024, -(2**1024), HUGE])
+    | st.floats()  # NaN and the infinities included
+)
+json_values = json_scalars | st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A valid scene with every record kind (cameras, cuboids, native boxes
+    and detection sets), the path of each of its values, and a file to
+    write edited copies to."""
+    ds, _ = generate_scene(SynthParams(seed=13, n_cameras=3, n_objects=2,
+                                       detection_noise=0.1))
+    doc = json.loads(json.dumps(scene_to_dict(ds.scenes[0], ds.class_map)))
+    target = tmp_path_factory.mktemp("fuzz") / "scene.json"
+    return doc, sorted(json_paths(doc), key=repr), target

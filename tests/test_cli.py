@@ -1,20 +1,26 @@
 """Command-line surface: subcommands, report files, exit codes, determinism."""
 
 import ast
+import contextlib
+import copy
 import dataclasses
 import gc
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import redkit.cli
-from conftest import box_with_bcs, dataset_of, scene_with_boxes
+from conftest import box_with_bcs, dataset_of, holder, json_values, scene_with_boxes
 from redkit.cli import build_parser, main
 from redkit.geometry import Box2D, Box3D, centroid_distance
 from redkit.ingest import Frame, Scene, ValidationError, parse_dataset, write_dataset
@@ -658,6 +664,55 @@ def test_integer_past_the_digit_limit_names_the_file(ring_dataset, tmp_path, cap
     assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", "0.3") == 1
     assert f"redkit prune: error: {path}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+# ------------------------------------------------------ single-field edits
+
+
+def name_edits(doc):
+    """Strings that make a scene id or camera name unusable or awkward: lone
+    surrogates, the label file name separator, another camera's name, and
+    names that make the longest label file name 255 or 256 bytes long."""
+    digits = max(len(str(f["timestamp_ns"])) for f in doc["frames"])
+    cameras = [c["name"] for c in doc["cameras"]]
+    as_scene_id = 255 - len(f"__{'0' * digits}__{max(cameras, key=len)}.txt")
+    as_camera = 255 - len(f"{doc['scene_id']}__{'0' * digits}__.txt")
+    return ["\ud800", "a\udc80b", "__", "a__0__b", *cameras,
+            *("s" * (n + extra) for n in (as_scene_id, as_camera) for extra in (0, 1))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_any_single_field_edit_runs_or_fails_cleanly(fuzz_base, data):
+    # the parser's single-field edits, run through every command that reads
+    # a dataset, with the names the label files are made of edited as often
+    # as all other fields together
+    base, paths, _ = fuzz_base
+    names = [("scene_id",)] + [("cameras", i, "name") for i in range(len(base["cameras"]))]
+    doc = copy.deepcopy(base)
+    target, key = holder(doc, data.draw(st.sampled_from(paths) | st.sampled_from(names),
+                                        label="path"))
+    if data.draw(st.booleans(), label="delete"):
+        del target[key]
+    else:
+        target[key] = data.draw(json_values | st.sampled_from(name_edits(base)),
+                                label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        scene_file = root / "scene.json"
+        scene_file.write_text(json.dumps(doc))
+        for command, args in READING_COMMANDS.items():
+            out = root / command
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = run_cli(command, "--dataset", scene_file, "--out", out, *args)
+            errors = [line for line in stderr.getvalue().splitlines()
+                      if line.startswith(f"redkit {command}: error: ")]
+            assert (code, len(errors)) in ((0, 0), (1, 1))
+            assert code == 0 or not out.exists()
+        # each command writes only under its own --out
+        assert {p.relative_to(root).parts[0] for p in root.rglob("*")} <= {
+            scene_file.name, *READING_COMMANDS}
 
 
 # ------------------------------------------------- records a command reads

@@ -1,6 +1,7 @@
 """Parsing, validation, serialization, and label emission."""
 
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset_of, scene_with_boxes, two_overlapping_cameras
+from conftest import (
+    HUGE,
+    dataset_of,
+    holder,
+    json_values,
+    scene_with_boxes,
+    two_overlapping_cameras,
+)
 from redkit.geometry import Box2D, Cuboid3D
 from redkit.ingest import (
     Dataset,
@@ -25,6 +33,8 @@ from redkit.ingest import (
     serialize_pgm,
     write_dataset,
 )
+from redkit.multisource import prune_dataset
+from redkit.overlap import build_overlap_graph
 from redkit.synth import SynthParams, camera_at_yaw, generate_scene
 
 # ------------------------------------------------------------------- PGM
@@ -98,15 +108,6 @@ def write_scene(tmp_path, doc, name="scene.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
-
-
-def holder(doc, path):
-    """The container in ``doc`` that holds the value at ``path``, and the
-    value's key or index there."""
-    *parents, last = path
-    for key in parents:
-        doc = doc[key]
-    return doc, last
 
 
 def test_parse_minimal_fixture(tmp_path, minimal_scene_dict):
@@ -255,10 +256,6 @@ def with_cuboid_and_detection(scene_dict):
     return doc
 
 
-# an integer literal with 401 digits: valid JSON, and no float can hold it
-HUGE = 10**400
-
-
 @pytest.mark.parametrize("path,where", [
     (ANNOTATION + ("cuboid", "center", 1), "annotation 'track-1': center entry"),
     (ANNOTATION + ("cuboid", "yaw"), "annotation 'track-1': yaw"),
@@ -366,42 +363,6 @@ def test_parts_left_out_keep_their_container_checks(tmp_path, minimal_scene_dict
 def test_unknown_frame_part_is_rejected(tmp_path, minimal_scene_dict):
     with pytest.raises(ValueError, match="cuboids"):
         parse_dataset(write_scene(tmp_path, minimal_scene_dict), parts=("cuboids",))
-
-
-def json_paths(doc, prefix=()):
-    """The path of every value inside ``doc``, the root excluded."""
-    keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
-    for key in keys:
-        path = prefix + (key,)
-        yield path
-        if isinstance(doc[key], (dict, list)):
-            yield from json_paths(doc[key], path)
-
-
-json_scalars = (
-    st.none() | st.booleans() | st.text(max_size=8) | st.integers()
-    # integers that no float holds
-    | st.sampled_from([2**1024, -(2**1024), HUGE])
-    | st.floats()  # NaN and the infinities included
-)
-json_values = json_scalars | st.recursive(
-    json_scalars,
-    lambda children: (st.lists(children, max_size=4)
-                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
-    max_leaves=6,
-)
-
-
-@pytest.fixture(scope="module")
-def fuzz_base(tmp_path_factory):
-    """A valid scene with every record kind (cameras, cuboids, native boxes
-    and detection sets), the path of each of its values, and a file to
-    write edited copies to."""
-    ds, _ = generate_scene(SynthParams(seed=13, n_cameras=3, n_objects=2,
-                                       detection_noise=0.1))
-    doc = json.loads(json.dumps(scene_to_dict(ds.scenes[0], ds.class_map)))
-    target = tmp_path_factory.mktemp("fuzz") / "scene.json"
-    return doc, sorted(json_paths(doc), key=repr), target
 
 
 @settings(max_examples=400, deadline=None)
@@ -602,17 +563,55 @@ def test_kept_key_naming_no_frame_or_camera_is_rejected(tmp_path, key):
 
 
 @pytest.mark.parametrize("scene_id", ["a\ud800b", "a\udc80b"])
-def test_label_file_name_holding_a_lone_surrogate_is_rejected(tmp_path, scene_id):
-    # an in-memory scene skips the parser's name check: "\ud800" used to
-    # fail with a bare UnicodeEncodeError, and "\udc80" wrote a file whose
-    # name is not UTF-8
+def test_label_file_name_holding_a_lone_surrogate_is_rejected(scene_id):
+    # an in-memory scene used to skip the parser's name check: emit_labels
+    # failed on "\ud800" with a bare UnicodeEncodeError, and wrote a file
+    # whose name is not UTF-8 for "\udc80". The scene rejects both names.
     cams = two_overlapping_cameras()
-    scene = scene_with_boxes(cams, [{"t0": {"CAM_FRONT": Box2D(10.0, 10.0, 20.0, 20.0)}}],
-                             scene_id=scene_id)
-    kept = {(scene_id, 0, "CAM_FRONT", "t0"): Box2D(10.0, 10.0, 20.0, 20.0)}
-    with pytest.raises(ValidationError, match="holds a lone surrogate"):
-        emit_labels(dataset_of(scene), kept, tmp_path / "labels")
-    assert not (tmp_path / "labels").exists()
+    spec = [{"t0": {"CAM_FRONT": Box2D(10.0, 10.0, 20.0, 20.0)}}]
+    with pytest.raises(ValidationError, match="scene_id must be a non-empty string"):
+        scene_with_boxes(cams, spec, scene_id=scene_id)
+    renamed = (dataclasses.replace(cams[0], name=scene_id), cams[1])
+    with pytest.raises(ValidationError, match="camera name must be a non-empty string"):
+        scene_with_boxes(renamed, spec)
+
+
+BOX = Box2D(10.0, 10.0, 20.0, 20.0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda cams: scene_with_boxes(cams + cams[:1], [{"t": {"CAM_FRONT": BOX}}]),
+     "duplicate camera name"),
+    (lambda cams: scene_with_boxes(cams, []), "a scene needs at least one frame"),
+    (lambda cams: scene_with_boxes(cams, [{"t": {"CAM_X": BOX}}]),
+     "frame 0 annotation 't': 2D box names unknown camera 'CAM_X'"),
+    (lambda cams: dataset_of(scene_with_boxes(cams, [{"t": {"CAM_FRONT": BOX}}]),
+                             class_map={"boat": 0}),
+     "scene 'scene-0' frame 0 annotation 't': category 'car' not in the class map"),
+    (lambda cams: scene_with_boxes(cams, [{"t": {"CAM_FRONT": BOX}}],
+                                   scene_id="s" * 232),
+     "camera 'CAM_FRONT_RIGHT' is 256 bytes, longer than 255"),
+], ids=["duplicate-camera", "no-frames", "unknown-box-camera", "unknown-category",
+        "long-label-file-name"])
+def test_records_built_in_memory_are_checked(build, message):
+    # only the parser checked these: a repeated camera name failed emission
+    # claiming two scenes of one id shared a file, and an unknown category
+    # ended in a bare KeyError
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build(two_overlapping_cameras())
+
+
+def test_unsafe_scene_id_built_in_memory_writes_nothing(tmp_path):
+    # prune_dataset and emit_labels used to write out/evil__0__CAM_*.txt,
+    # outside the label directory
+    ds, _ = generate_scene(SynthParams(seed=7, n_objects=4))
+    graph = build_overlap_graph(ds.scenes[0].cameras)
+    with pytest.raises(ValidationError, match="scene_id must be a non-empty string"):
+        evil = dataclasses.replace(
+            ds, scenes=(dataclasses.replace(ds.scenes[0], scene_id="../evil"),))
+        kept, _ = prune_dataset(evil, graph, 0.3)
+        emit_labels(evil, kept, tmp_path / "out" / "labels")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------- resolve_box

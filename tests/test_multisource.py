@@ -9,7 +9,7 @@ import pytest
 import redkit.multisource
 from conftest import box_with_bcs, chain_ring_dataset, dataset_of, scene_with_boxes
 from redkit.geometry import Box2D
-from redkit.ingest import Frame, GrayImage, Scene, resolve_box
+from redkit.ingest import Frame, GrayImage, Scene, ValidationError, resolve_box
 from redkit.multisource import (
     _index_dataset,
     cosine_similarity,
@@ -279,25 +279,22 @@ def test_unknown_label_source_is_rejected_without_annotations():
 
 @pytest.mark.parametrize("cause", ["track", "timestamp", "scene"])
 def test_two_labels_under_one_key_are_rejected(cause):
-    # parse_dataset prevents each cause; an in-memory dataset does not. The
-    # second label used to overwrite the first: the counts came out wrong,
-    # and pruning one of them ended in a bare KeyError
+    # each cause puts two labels under one key, and the second used to
+    # overwrite the first: the counts came out wrong, and pruning one of them
+    # ended in a bare KeyError. The record holding the repeated id rejects it
+    # however it is built, so the grouping pass never sees such a dataset.
     frame = frame_with({"obj": ["CAM_FRONT", "CAM_FRONT_RIGHT"]})
     scene = Scene(scene_id="s", cameras=tuple(RING.values()), frames=(frame,))
-    if cause == "track":
-        twice = dataclasses.replace(frame, annotations=frame.annotations * 2)
-        ds = dataset_of(dataclasses.replace(scene, frames=(twice,)))
-    elif cause == "timestamp":
-        ds = dataset_of(dataclasses.replace(scene, frames=(frame, frame)))
-    else:
-        ds = dataset_of(scene, scene)
-    want = re.escape(f"label {('s', 0, 'CAM_FRONT', 'obj')!r} occurs twice")
-    with pytest.raises(ValueError, match=want):
-        prune_dataset(ds, GRAPH, 0.1)
-    with pytest.raises(ValueError, match=want):
-        sweep_tau(ds, GRAPH, [0.1])
-    with pytest.raises(ValueError, match=want):
-        group_stats(ds, GRAPH)
+    builds = {
+        "track": (lambda: dataclasses.replace(
+            frame, annotations=frame.annotations * 2), "duplicate track_id 'obj'"),
+        "timestamp": (lambda: dataclasses.replace(scene, frames=(frame, frame)),
+                      "frame 0: timestamps must be strictly increasing"),
+        "scene": (lambda: dataset_of(scene, scene), "duplicate scene_id 's'"),
+    }
+    build, message = builds[cause]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build()
 
 
 @pytest.mark.parametrize("source", ["native-2d", "projected-3d"])

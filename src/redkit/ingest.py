@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -83,6 +84,15 @@ def _encodes(value: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def _timestamp(value: Any) -> int:
+    """``value`` if it is an ``int``: not a ``bool`` (a subclass of
+    ``int``), float or string, which would give label file names that no
+    parsed dataset can produce."""
+    if type(value) is not int:
+        raise ValidationError(f"timestamp_ns must be an integer, got {value!r}")
+    return value
 
 
 def _label_file_name(scene_id: str, ts: int, camera: str) -> str:
@@ -138,6 +148,7 @@ class Frame:
     detection_sets: dict[str, tuple[Box3D, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _timestamp(self.timestamp_ns)
         tracks: set[str] = set()
         for ann in self.annotations:
             if ann.track_id in tracks:
@@ -450,10 +461,11 @@ def _parse_scene(doc: Any, class_map_out: dict[str, int] | None, ctx: str,
     frames = []
     for i, fobj in enumerate(raw_frames):
         _typed(fobj, dict, f"frame {i}", ctx)
-        ts = _ctx_get(fobj, "timestamp_ns", ctx)
-        # bool is a subclass of int; JSON true is not a timestamp
-        if type(ts) is not int:
-            raise ParseError(f"{ctx}: timestamp_ns must be an integer, got {ts!r}")
+        # checked before fctx names the frame by it
+        try:
+            ts = _timestamp(_ctx_get(fobj, "timestamp_ns", ctx))
+        except ValidationError as exc:
+            raise ParseError(f"{ctx}: {exc}") from None
         fctx = f"{ctx} frame {ts}"
         annotations = []
         raw_annotations = _typed(fobj.get("annotations", []), list, "annotations", fctx)
@@ -649,6 +661,16 @@ def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D
     records already checked each name on its own, so emission checks the
     names only against each other; every file is formatted, and its name
     checked, before ``out_dir`` is created and the first one written.
+
+    A file that exists already is rewritten in place, not truncated first:
+    the new bytes go over the old ones and ``ftruncate`` then cuts off any
+    old tail, so a completed call leaves each file with its new bytes, its
+    name and mode, and a new mtime. Nothing is synced to disk. A crash or
+    kill before the cut can leave a file holding the start of its new
+    bytes followed by the tail of its old ones (valid label lines of two
+    runs), where truncating first would have left it short or empty; rerun
+    into an empty ``out_dir`` after a crash. Files in ``out_dir`` that this
+    call does not name are left as they are.
     """
     kept_index: dict[tuple[str, int, str], dict[str, Box2D]] = {}
     for (scene_id, ts, camera, track_id), box in kept.items():
@@ -688,10 +710,21 @@ def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D
                               "of the dataset")
     out.mkdir(parents=True, exist_ok=True)
     for target, data in files:
-        # binary mode: the lines are ASCII with LF endings already, and a
-        # text wrapper per file costs more than formatting them
-        with open(target, "wb") as fh:
-            fh.write(data)
+        # not open(target, "wb"): a file truncated to zero and written
+        # again has its blocks freed and allocated anew, and ext4 starts
+        # its writeback at close; an existing file is overwritten in place
+        # and then cut to the new length. Plain os calls, not open() on
+        # the fd: the buffered file object's set-up, isatty and tell cost
+        # more per small file than they save, enough to make creating new
+        # files slower than open(target, "wb") was
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     return [target for target, _ in files]
 
 

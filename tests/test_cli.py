@@ -376,6 +376,81 @@ def test_label_file_name_of_255_bytes_is_written(tmp_path, ring_dataset):
     assert max(len(name.encode()) for name in names) == 255
 
 
+def label_changes(before, after):
+    """How each label file of ``before`` changed in ``after``, both output
+    trees; unchanged files are left out."""
+    kinds = set()
+    for name, old in before.items():
+        new = after[name]
+        if not name.startswith("labels/") or new == old:
+            continue
+        if not old or not new:
+            kinds.add("became empty" if old else "stopped being empty")
+        else:
+            kinds.add("shrank" if len(new) < len(old) else "grew")
+    return kinds
+
+
+@pytest.mark.parametrize("source", ["native-2d", "projected-3d"])
+def test_prune_into_a_used_out_matches_a_fresh_out(tmp_path, source):
+    # label files are rewritten in place, not truncated first: whatever a
+    # previous run at another tau left, the tree must end as a fresh run's
+    data_dir = tmp_path / "data"
+    assert run_cli("sim", "--out", data_dir, "--seed", 6, "--n-frames", 3,
+                   "--n-objects", 12) == 0
+
+    def prune(out, tau):
+        assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", tau,
+                       "--label-source", source) == 0
+        return output_tree(out)
+
+    fresh = {tau: prune(tmp_path / f"fresh-{tau}", tau) for tau in ("0.05", "0.9")}
+    used = tmp_path / "used"
+    prune(used, "0.05")
+    assert prune(used, "0.9") == fresh["0.9"]
+    assert prune(used, "0.05") == fresh["0.05"]
+    assert (label_changes(fresh["0.05"], fresh["0.9"])
+            | label_changes(fresh["0.9"], fresh["0.05"])) == {
+        "shrank", "grew", "became empty", "stopped being empty"}
+
+
+def test_prune_rerun_rewrites_every_label_file(ring_dataset, tmp_path):
+    # an in-place rewrite of unchanged bytes, and of an empty file, must
+    # still move the file's mtime, as a truncate-and-write did
+    data_dir, _ = ring_dataset
+    out = tmp_path / "prune"
+    args = ("prune", "--dataset", data_dir, "--out", out, "--tau", 0.3)
+    assert run_cli(*args) == 0
+    before = output_tree(out)
+    labels = sorted((out / "labels").iterdir())
+    assert any(path.stat().st_size == 0 for path in labels)
+    past = 10**9  # one second after the epoch
+    for path in labels:
+        os.utime(path, ns=(past, past))
+    assert run_cli(*args) == 0
+    assert output_tree(out) == before
+    assert [p.name for p in labels if p.stat().st_mtime_ns <= past] == []
+
+
+def test_label_path_taken_by_a_directory_fails_the_prune(ring_dataset, tmp_path,
+                                                         capsys):
+    data_dir, ds = ring_dataset
+    scene = ds.scenes[0]
+    out = tmp_path / "run" / "out"
+    # the last file written, so every other one is written first
+    taken = out / "labels" / (f"{scene.scene_id}__{scene.frames[-1].timestamp_ns}"
+                              f"__{scene.cameras[-1].name}.txt")
+    taken.mkdir(parents=True)
+    before = set(tmp_path.rglob("*"))
+    assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", 0.3) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("redkit prune: error: ")
+    assert repr(str(taken)) in err[0]
+    assert taken.is_dir()
+    assert all(out in p.parents for p in set(tmp_path.rglob("*")) - before)
+
+
 @pytest.mark.parametrize("command", ["prune", "sweep"])
 @pytest.mark.parametrize("pair", ["X:Y", "CAM_FRONT:CAM_BACK"])
 def test_pair_override_that_names_no_edge_fails(tmp_path, capsys, command, pair):

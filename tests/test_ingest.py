@@ -225,10 +225,15 @@ def test_intrinsics_are_checked_and_name_the_camera(tmp_path, minimal_scene_dict
 
 
 def test_boolean_timestamp_rejected(tmp_path, minimal_scene_dict):
+    # Frame's own check gives the message; the parser makes it a
+    # ParseError naming the scene, before the frame is named by its stamp
     doc = copy.deepcopy(minimal_scene_dict)
     doc["frames"][0]["timestamp_ns"] = True
-    with pytest.raises(ParseError, match="timestamp_ns must be an integer"):
-        parse_dataset(write_scene(tmp_path, doc))
+    path = write_scene(tmp_path, doc)
+    with pytest.raises(ParseError) as exc:
+        parse_dataset(path)
+    assert str(exc.value) == (f"{path} scene {doc['scene_id']!r}: "
+                              "timestamp_ns must be an integer, got True")
 
 
 @pytest.mark.parametrize("field", ["x0", "y0", "x1", "y1"])
@@ -524,6 +529,29 @@ def test_labels_sorted_by_track_within_file(tmp_path):
     assert float(lines[0].split()[1]) == pytest.approx(a_center, abs=1e-6)
 
 
+def test_existing_label_files_are_rewritten_whole(tmp_path):
+    # files are overwritten in place and then cut to length: an old tail
+    # must not survive, and a file emission does not name stays as it was
+    cams = two_overlapping_cameras()
+    scene = scene_with_boxes(
+        cams, [{"t0": {"CAM_FRONT": Box2D(0.0, 0.0, 1600.0, 900.0)}}]
+    )
+    ds = dataset_of(scene, class_map={"car": 0})
+    front = tmp_path / "scene-0__0__CAM_FRONT.txt"
+    right = tmp_path / "scene-0__0__CAM_FRONT_RIGHT.txt"
+    other = tmp_path / "scene-0__7__CAM_FRONT.txt"
+    front.write_bytes(b"9 0.1 0.1 0.1 0.1\n" * 300)
+    right.write_bytes(b"stale\n")
+    other.write_bytes(b"untouched\n")
+    front.chmod(0o640)
+    kept = {("scene-0", 0, "CAM_FRONT", "t0"): Box2D(0.0, 0.0, 1600.0, 900.0)}
+    assert emit_labels(ds, kept, tmp_path) == [front, right]
+    assert front.read_bytes() == b"0 0.500000 0.500000 1.000000 1.000000\n"
+    assert right.read_bytes() == b""
+    assert other.read_bytes() == b"untouched\n"
+    assert front.stat().st_mode & 0o777 == 0o640
+
+
 def test_label_lines_format_the_kept_box(tmp_path):
     # emission formats the box it is given; it does not resolve one again
     cams = two_overlapping_cameras()
@@ -599,6 +627,16 @@ def test_records_built_in_memory_are_checked(build, message):
     # ended in a bare KeyError
     with pytest.raises(ValidationError, match=re.escape(message)):
         build(two_overlapping_cameras())
+
+
+@pytest.mark.parametrize("timestamp", [True, 0.5, "7"])
+def test_frame_rejects_a_timestamp_that_is_not_an_integer(timestamp):
+    # only the parser checked the type: emit_labels wrote
+    # scene-0__True__CAM_FRONT.txt, a name no parsed dataset can produce
+    scene = scene_with_boxes(two_overlapping_cameras(), [{"t": {"CAM_FRONT": BOX}}])
+    with pytest.raises(ValidationError, match=re.escape(
+            f"timestamp_ns must be an integer, got {timestamp!r}")):
+        dataclasses.replace(scene.frames[0], timestamp_ns=timestamp)
 
 
 def test_unsafe_scene_id_built_in_memory_writes_nothing(tmp_path):

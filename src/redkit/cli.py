@@ -1,9 +1,12 @@
 """Command-line pipeline: audit, prune, sweep, mm, sim.
 
-Every command reads the canonical scene schema and writes its outputs under
-``--out`` (overridable with the ``REDKIT_OUTPUT_DIR`` environment variable).
-Reports are JSON, sweep outputs CSV; nothing embeds timestamps, so repeated
-runs on identical inputs are byte-identical.
+Every command reads the canonical scene schema and returns its report files
+as text, JSON report last; :func:`main` alone creates ``--out`` (overridable
+with the ``REDKIT_OUTPUT_DIR`` environment variable) and writes them, once
+the command has computed them all, so a rejected command creates no
+``--out``. ``prune``'s labels and ``sim``'s scenes are written by
+:mod:`redkit.ingest`. Nothing embeds timestamps, so repeated runs on
+identical inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -36,37 +39,21 @@ from .synth import SynthParams, generate_scene, nuscenes_like_cameras
 OUTPUT_DIR_ENV = "REDKIT_OUTPUT_DIR"
 
 
-def _echo(args: argparse.Namespace) -> dict:
-    """Analysis parameters for report embedding (paths excluded)."""
-    out = {
+def _echo(args: argparse.Namespace, **fields) -> dict:
+    """Analysis parameters for report embedding (paths excluded): the
+    settings every command shares, then the command's own ``fields``."""
+    return {
         "command": args.command,
         "overlap_mode": args.overlap_mode,
         "label_source": args.label_source,
         "min_overlap": args.min_overlap,
+        **fields,
     }
-    if args.command == "prune":
-        out["tau"] = args.tau
-        out["pair_taus"] = {
-            f"{a}:{b}": v for (a, b), v in sorted(dict(args.pair_tau).items())
-        }
-    if args.command == "mm":
-        out.update(
-            theta=args.theta,
-            t_dist=list(args.t_dist),
-            rr_split=args.rr_split,
-            base_set=args.base_set,
-            lidar_set=args.lidar_set,
-        )
-    return out
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    """The output directory, not yet created: a command creates it only
-    after every check that can fail, so a failed run leaves none behind."""
-    if args.out is None:
-        raise ValidationError("no output directory: pass --out or set "
-                              f"{OUTPUT_DIR_ENV}")
-    return Path(args.out)
+def _pair_taus(args: argparse.Namespace) -> dict[str, float]:
+    """``--pair-tau`` as reports echo it: sorted, the last value wins."""
+    return {f"{a}:{b}": v for (a, b), v in sorted(dict(args.pair_tau).items())}
 
 
 def _build_graphs(dataset: Dataset, args: argparse.Namespace
@@ -84,22 +71,20 @@ def _build_graphs(dataset: Dataset, args: argparse.Namespace
     raise ValidationError(f"unknown overlap mode {args.overlap_mode!r}")
 
 
-def _write_json(path: Path, doc: dict) -> Path:
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return path
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------
 # audit
 
 
-def cmd_audit(args: argparse.Namespace) -> Path:
+def cmd_audit(args: argparse.Namespace) -> dict[str, str]:
     """Inventory a dataset: overlap graph, group counts, completeness
     histogram, and (when images are available) the crop-similarity prescreen.
     """
     dataset = parse_dataset(args.dataset, parts=("annotations",))
     graphs = _build_graphs(dataset, args)
-    out = _out_dir(args)
     report = {
         "config": _echo(args),
         "scenes": [
@@ -122,66 +107,60 @@ def cmd_audit(args: argparse.Namespace) -> Path:
         **group_stats(dataset, graphs, args.label_source),
         "cosine_similarity": overlap_similarity(dataset, graphs, args.images),
     }
-    out.mkdir(parents=True, exist_ok=True)
-    return _write_json(out / "audit.json", report)
+    return {"audit.json": _json(report)}
 
 
 # --------------------------------------------------------------------------
 # prune / sweep
 
 
-def cmd_prune(args: argparse.Namespace) -> Path:
+def cmd_prune(args: argparse.Namespace) -> dict[str, str]:
     """Prune at one threshold and emit the surviving labels."""
     dataset = parse_dataset(args.dataset, parts=("annotations",))
     graphs = _build_graphs(dataset, args)
-    out = _out_dir(args)
     kept, row = prune_dataset(
         dataset, graphs, args.tau, args.label_source, dict(args.pair_tau))
     # creates out/labels, and with it out, once every label file is formatted
-    files = emit_labels(dataset, kept, out / "labels")
+    files = emit_labels(dataset, kept, Path(args.out) / "labels")
     report = {
-        "config": _echo(args),
+        "config": _echo(args, tau=args.tau, pair_taus=_pair_taus(args)),
         "tau": row.tau,
         "deleted": row.deleted,
         "remaining": row.remaining,
         "tracks": row.tracks,
         "label_files": len(files),
     }
-    return _write_json(out / "prune_report.json", report)
+    return {"prune_report.json": _json(report)}
 
 
-def cmd_sweep(args: argparse.Namespace) -> Path:
+def cmd_sweep(args: argparse.Namespace) -> dict[str, str]:
     """Prune at a list of thresholds and tabulate the counts as CSV."""
     dataset = parse_dataset(args.dataset, parts=("annotations",))
     graphs = _build_graphs(dataset, args)
-    out = _out_dir(args)
     rows = sweep_tau(dataset, graphs, args.taus, args.label_source,
                      dict(args.pair_tau))
     lines = ["tau,deleted,remaining,tracks"]
     lines += [
         f"{r.tau:.6f},{r.deleted},{r.remaining},{r.tracks}" for r in rows
     ]
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "sweep.csv"
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    files = {"sweep.csv": "\n".join(lines) + "\n"}
     if args.emit_plot_data:
-        (out / "sweep_deleted.xy").write_text(
-            "".join(f"{r.tau:.6f} {r.deleted}\n" for r in rows),
-            encoding="utf-8", newline="\n")
-        (out / "sweep_remaining.xy").write_text(
-            "".join(f"{r.tau:.6f} {r.remaining}\n" for r in rows),
-            encoding="utf-8", newline="\n")
-    return target
+        files["sweep_deleted.xy"] = "".join(
+            f"{r.tau:.6f} {r.deleted}\n" for r in rows)
+        files["sweep_remaining.xy"] = "".join(
+            f"{r.tau:.6f} {r.remaining}\n" for r in rows)
+    files["sweep_report.json"] = _json({
+        "config": _echo(args, taus=list(args.taus), pair_taus=_pair_taus(args))})
+    return files
 
 
 # --------------------------------------------------------------------------
 # mm
 
 
-def cmd_mm(args: argparse.Namespace) -> Path:
+def cmd_mm(args: argparse.Namespace) -> dict[str, str]:
     """Cross-modal analysis: per-frame redundancy, distance sweep, t-test."""
     dataset = parse_dataset(args.dataset, parts=("detection_sets",))
-    out = _out_dir(args)
 
     frames = []
     skipped = 0
@@ -221,25 +200,23 @@ def cmd_mm(args: argparse.Namespace) -> Path:
 
     csv_lines = ["t_dist,pruned_count,lost_ratio"]
     csv_lines += [f"{r.t_dist:.6f},{r.pruned_count},{r.lost_ratio:.6f}" for r in rows]
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "mm_sweep.csv"
-    csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8", newline="\n")
+    files = {"mm_sweep.csv": "\n".join(csv_lines) + "\n"}
     if args.emit_plot_data:
-        (out / "mm_lost_ratio.xy").write_text(
-            "".join(f"{r.t_dist:.6f} {r.lost_ratio:.6f}\n" for r in rows),
-            encoding="utf-8", newline="\n")
-    _write_ttest(out / "mm_ttest.txt", ttest)
-
+        files["mm_lost_ratio.xy"] = "".join(
+            f"{r.t_dist:.6f} {r.lost_ratio:.6f}\n" for r in rows)
+    files["mm_ttest.txt"] = _ttest_text(ttest)
     report = {
-        "config": _echo(args),
+        "config": _echo(args, theta=args.theta, t_dist=list(args.t_dist),
+                        rr_split=args.rr_split, base_set=args.base_set,
+                        lidar_set=args.lidar_set),
         "frames_used": len(frames),
         "frames_skipped": skipped,
         "rr_mean": sum(f["rr"] for f in per_frame) / len(per_frame),
         "per_frame_rr": per_frame,
         "t_test": ttest,
     }
-    _write_json(out / "mm_report.json", report)
-    return csv_path
+    files["mm_report.json"] = _json(report)
+    return files
 
 
 def _rr_split(text: str) -> float | None:
@@ -256,7 +233,7 @@ def _rr_split(text: str) -> float | None:
     return split
 
 
-def _write_ttest(path: Path, ttest: dict) -> None:
+def _ttest_text(ttest: dict) -> str:
     lines = [
         "welch t-test: ego distance, high-redundancy vs low-redundancy frames",
         f"split = {ttest['split']:.6g} ({ttest['split_rule']})",
@@ -273,15 +250,16 @@ def _write_ttest(path: Path, ttest: dict) -> None:
         ]
     else:
         lines.append(f"skipped: {ttest['reason']}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
 # sim
 
 
-def cmd_sim(args: argparse.Namespace) -> list[Path]:
-    """Generate a synthetic scene and write it in the canonical schema.
+def cmd_sim(args: argparse.Namespace) -> dict[str, str]:
+    """Generate a synthetic scene and write it in the canonical schema; it
+    has no report files.
 
     Each option is named after its :class:`SynthParams` field; one left
     out, and an empty ``--yaw-offsets`` list, take the field's default."""
@@ -290,7 +268,8 @@ def cmd_sim(args: argparse.Namespace) -> list[Path]:
         if getattr(args, f.name) not in (None, ())})
     cameras = nuscenes_like_cameras() if args.nuscenes_ring else None
     dataset, _ = generate_scene(params, cameras)
-    return write_dataset(dataset, _out_dir(args))
+    write_dataset(dataset, args.out)
+    return {}
 
 
 # --------------------------------------------------------------------------
@@ -449,7 +428,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        _COMMANDS[args.command](args)
+        if args.out is None:
+            raise ValidationError("no output directory: pass --out or set "
+                                  f"{OUTPUT_DIR_ENV}")
+        files = _COMMANDS[args.command](args)
+        # sim writes its scenes itself, and its --out may name a file
+        out = Path(args.out)
+        if files:
+            out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8", newline="\n")
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"redkit {args.command}: error: {exc}", file=sys.stderr)
         return 1

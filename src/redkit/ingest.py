@@ -125,7 +125,8 @@ def _check_label_file_names(scene_id: str, frames: Sequence[Frame],
 
 @dataclass(frozen=True)
 class Annotation:
-    """One object instance in one frame."""
+    """One object instance in one frame; each native 2D box has positive
+    area."""
 
     track_id: str
     category: str
@@ -137,6 +138,11 @@ class Annotation:
             raise ValidationError(
                 f"annotation {self.track_id!r}: needs a cuboid or native 2D boxes"
             )
+        for camera, box in self.boxes2d.items():
+            if box.area <= 0.0:
+                raise ValidationError(
+                    f"annotation {self.track_id!r} box in {camera!r}: native box "
+                    "must have positive area")
 
 
 @dataclass(frozen=True)
@@ -430,10 +436,7 @@ def _parse_annotation(obj: Any, ctx: str) -> Annotation:
         _typed(box, dict, "box", bc)
         coords = (_ctx_get(box, "x0", bc), _ctx_get(box, "y0", bc),
                   _ctx_get(box, "x1", bc), _ctx_get(box, "y1", bc))
-        parsed = _record(Box2D, bc, *_floats(coords, _BOX_KEYS, bc))
-        if parsed.area <= 0.0:
-            raise ValidationError(f"{bc}: native box must have positive area")
-        boxes2d[cam_name] = parsed
+        boxes2d[cam_name] = _record(Box2D, bc, *_floats(coords, _BOX_KEYS, bc))
     return _record(Annotation, ctx, track_id, category, cuboid, boxes2d)
 
 

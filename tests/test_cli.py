@@ -91,6 +91,12 @@ def test_sim_is_byte_deterministic(tmp_path):
     assert a == b
 
 
+def test_sim_out_may_name_a_scene_file(tmp_path):
+    out = tmp_path / "scene.json"
+    assert run_cli("sim", "--out", out, "--seed", 5, "--n-objects", 6) == 0
+    assert json.loads(out.read_text())["scene_id"] == "synth-0000000000000005"
+
+
 def test_sim_ring_flag_uses_named_cameras(tmp_path):
     assert run_cli("sim", "--out", tmp_path, "--seed", 1, "--nuscenes-ring") == 0
     doc = json.loads(next(tmp_path.glob("*.json")).read_text())
@@ -449,6 +455,24 @@ def test_label_path_taken_by_a_directory_fails_the_prune(ring_dataset, tmp_path,
     assert repr(str(taken)) in err[0]
     assert taken.is_dir()
     assert all(out in p.parents for p in set(tmp_path.rglob("*")) - before)
+    assert not (out / "prune_report.json").exists()
+
+
+@pytest.mark.parametrize("command,args,taken,report", [
+    ("sweep", ["--taus", "0.3"], "sweep.csv", "sweep_report.json"),
+    ("mm", [], "mm_sweep.csv", "mm_report.json"),
+])
+def test_report_path_taken_by_a_directory_fails_the_command(
+        ring_dataset, tmp_path, capsys, command, args, taken, report):
+    # main writes a command's files in order, its JSON report last
+    data_dir, _ = ring_dataset
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert run_cli(command, "--dataset", data_dir, "--out", out, *args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"redkit {command}: error: ")
+    assert repr(str(out / taken)) in err[0]
+    assert not (out / report).exists()
 
 
 @pytest.mark.parametrize("command", ["prune", "sweep"])
@@ -922,6 +946,10 @@ DATASET_DEFAULTS = [("overlap_mode", "calibration"), ("label_source", "native-2d
      "mm_report.json",
      [("theta", 0.3), ("t_dist", [12.0, 0.0]), ("rr_split", "0.5"),
       ("base_set", "lidar_only"), ("lidar_set", "fusion_baseline")]),
+    # thresholds keep the order given
+    ("sweep", ["--taus", "0.3,0.1", "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=0.1"],
+     "sweep_report.json",
+     [("taus", [0.3, 0.1]), ("pair_taus", {"CAM_FRONT:CAM_FRONT_RIGHT": 0.1})]),
 ])
 def test_reports_echo_their_config(ring_dataset, tmp_path, command, args,
                                    report, want):
@@ -936,14 +964,6 @@ def test_reports_echo_their_config(ring_dataset, tmp_path, command, args,
     config = json.loads((out / report).read_text())["config"]
     # key order is part of the byte-stable report
     assert list(config.items()) == expected
-
-
-def test_sweep_writes_no_report(ring_dataset, tmp_path):
-    data_dir, _ = ring_dataset
-    out = tmp_path / "out"
-    assert run_cli("sweep", "--dataset", data_dir, "--out", out, "--taus", "0.3",
-                   "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=0.1") == 0
-    assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
 
 
 # ------------------------------------------------------------- infrastructure
@@ -963,6 +983,20 @@ def test_cli_imports_no_private_names_or_iou3d():
                 assert alias.name not in analysis, alias.name
 
 
+def test_only_main_creates_out_or_writes_files():
+    # commands return their files and main writes them, so no command can
+    # create --out before a check of its own fails
+    tree = ast.parse(Path(redkit.cli.__file__).read_text(encoding="utf-8"))
+    writers = {
+        func.name
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("write_text", "mkdir")
+    }
+    assert writers == {"main"}
+
+
 def test_unsafe_scene_id_writes_nothing_outside_out(tmp_path, capsys):
     data_dir = known_gap_dataset(tmp_path)
     path = next(data_dir.glob("*.json"))
@@ -975,6 +1009,15 @@ def test_unsafe_scene_id_writes_nothing_outside_out(tmp_path, capsys):
     assert "scene_id" in capsys.readouterr().err
     assert all(out in p.parents or p == out
                for p in set(tmp_path.rglob("*")) - before - {out.parent})
+
+
+def test_missing_out_is_reported_before_the_dataset_is_read(tmp_path, capsys,
+                                                            monkeypatch):
+    monkeypatch.delenv("REDKIT_OUTPUT_DIR", raising=False)
+    assert run_cli("audit", "--dataset", tmp_path / "missing") == 1
+    assert capsys.readouterr().err == (
+        "redkit audit: error: no output directory: pass --out or set "
+        "REDKIT_OUTPUT_DIR\n")
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

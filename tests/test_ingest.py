@@ -248,6 +248,16 @@ def test_native_box_coordinates_must_be_finite(tmp_path, minimal_scene_dict,
         parse_dataset(write_scene(tmp_path, doc))
 
 
+def test_native_box_without_area_is_rejected_naming_the_frame(tmp_path,
+                                                              minimal_scene_dict):
+    doc = copy.deepcopy(minimal_scene_dict)
+    doc["frames"][0]["annotations"][0]["boxes2d"]["CAM_FRONT"]["x1"] = 100.0
+    with pytest.raises(ValidationError, match=re.escape(
+            "scene 'scene-a' frame 0: annotation 'track-1' box in 'CAM_FRONT': "
+            "native box must have positive area")):
+        parse_dataset(write_scene(tmp_path, doc))
+
+
 def with_cuboid_and_detection(scene_dict):
     """A copy of the scene whose annotation also has a cuboid and whose
     frame has a one-box ``lidar_only`` detection set."""
@@ -619,12 +629,16 @@ BOX = Box2D(10.0, 10.0, 20.0, 20.0)
     (lambda cams: scene_with_boxes(cams, [{"t": {"CAM_FRONT": BOX}}],
                                    scene_id="s" * 232),
      "camera 'CAM_FRONT_RIGHT' is 256 bytes, longer than 255"),
+    (lambda cams: scene_with_boxes(cams, [{"t": {"CAM_FRONT": Box2D(10, 10, 10, 50)}}]),
+     "annotation 't' box in 'CAM_FRONT': native box must have positive area"),
 ], ids=["duplicate-camera", "no-frames", "unknown-box-camera", "unknown-category",
-        "long-label-file-name"])
+        "long-label-file-name", "box-without-area"])
 def test_records_built_in_memory_are_checked(build, message):
     # only the parser checked these: a repeated camera name failed emission
-    # claiming two scenes of one id shared a file, and an unknown category
-    # ended in a bare KeyError
+    # claiming two scenes of one id shared a file, an unknown category
+    # ended in a bare KeyError, and prune_dataset and group_stats silently
+    # dropped a box without area, which write_dataset then wrote to a file
+    # that parse_dataset rejects
     with pytest.raises(ValidationError, match=re.escape(message)):
         build(two_overlapping_cameras())
 

@@ -32,6 +32,14 @@ such file per scene; ``parse(write(dataset))`` round-trips every field
 bit-exactly. A caller that reads only some per-frame parts (``annotations``,
 ``detection_sets``) can ask :func:`parse_dataset` to build only those.
 
+:func:`write_dataset` writes exactly the bytes of ``json.dumps(doc,
+indent=1)`` and a newline, ``doc`` being the document above, so the format
+is that of ``json`` itself. It emits that text from one template per record
+kind (:func:`scene_text`) rather than through ``json``, whose encoder runs
+in pure Python whenever ``indent`` is set;
+:func:`redkit.synth.reference_scene_text` builds the document and calls
+``json.dumps``, and is what the tests compare the writer with.
+
 Grayscale images use binary PGM (P5, maxval 255). Label emission writes one
 text file per frame and camera in the normalized ``class x y w h`` format.
 """
@@ -43,6 +51,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -202,12 +211,20 @@ class Scene:
 @dataclass(frozen=True)
 class Dataset:
     """Immutable collection of scenes with unique ids sharing one class map,
-    which holds every annotation's category."""
+    which holds every annotation's category and numbers its ``n`` classes
+    ``0`` to ``n - 1``, as a written and parsed class map does."""
 
     scenes: tuple[Scene, ...]
     class_map: dict[str, int]
 
     def __post_init__(self) -> None:
+        ids = self.class_map.values()
+        # type, not isinstance: True and False would pass as 1 and 0
+        if not ({int}.issuperset(map(type, ids))
+                and set(ids) == set(range(len(self.class_map)))):
+            raise ValidationError(
+                f"class map ids must be the integers 0 to {len(self.class_map) - 1}, "
+                f"each once, got {self.class_map!r}")
         scene_ids: set[str] = set()
         for scene in self.scenes:
             if scene.scene_id in scene_ids:
@@ -534,70 +551,139 @@ def parse_dataset(path: str | Path, *,
 # canonical schema emission
 
 
-def scene_to_dict(scene: Scene, class_map: Mapping[str, int]) -> dict[str, Any]:
-    """The JSON-ready form of a scene; inverse of the parser."""
-    by_id = sorted(class_map.items(), key=lambda kv: kv[1])
-    return {
-        "scene_id": scene.scene_id,
-        "class_map": [name for name, _ in by_id],
-        "cameras": [
-            {
-                "name": c.name,
-                "intrinsics": {
-                    "fx": c.fx, "fy": c.fy, "cx": c.cx, "cy": c.cy,
-                    "width": c.width, "height": c.height,
-                },
-                "extrinsics": {
-                    "rotation": list(c.rotation),
-                    "translation": list(c.translation),
-                },
-            }
-            for c in scene.cameras
-        ],
-        "frames": [
-            {
-                "timestamp_ns": f.timestamp_ns,
-                "annotations": [
-                    _annotation_to_dict(a) for a in f.annotations
-                ],
-                **(
-                    {
-                        "detection_sets": {
-                            name: [
-                                {
-                                    "center": list(b.center),
-                                    "size": list(b.size),
-                                    "yaw": b.yaw,
-                                    "score": b.score,
-                                }
-                                for b in boxes
-                            ]
-                            for name, boxes in f.detection_sets.items()
-                        }
-                    }
-                    if f.detection_sets
-                    else {}
-                ),
-            }
-            for f in scene.frames
-        ],
-    }
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT = frozenset((float,))
+# _NL[d] starts a line indented to nesting depth d, _SEP[d] also ends the
+# item before it
+_NL = tuple("\n" + " " * d for d in range(8))
+_SEP = tuple("," + nl for nl in _NL)
 
 
-def _annotation_to_dict(a: Annotation) -> dict[str, Any]:
-    out: dict[str, Any] = {"track_id": a.track_id, "category": a.category}
+def _template(record: dict[str, Any], depth: int, slot: str = "%s") -> str:
+    """``json.dumps(record, indent=1)`` for a record at nesting ``depth``,
+    each ``None`` value a ``slot``."""
+    return json.dumps(record, indent=1).replace("\n", _NL[depth]).replace("null", slot)
+
+
+def _scalar(value: Any, depth: int) -> str:
+    """``value``'s text at ``depth``: a finite float or an int by the repr
+    json gives it, a string by json's ASCII escaping, anything else by
+    ``json.dumps`` itself (its text for NaN, infinities, bools, None, int
+    and float subclasses and containers, its ``TypeError`` for the rest)."""
+    if type(value) is float and value - value == 0.0:
+        return _float_repr(value)
+    if type(value) is str:
+        return _encode_str(value)
+    if type(value) is int:
+        return _int_repr(value)
+    return json.dumps(value, indent=1).replace("\n", _NL[depth])
+
+
+def _key(key: Any) -> str:
+    """An object key's text: json turns a number, bool or None key into a
+    string and rejects any other type."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    return json.dumps({key: None})[1:-len(": null}")]
+
+
+def _join(items: list[str], depth: int, brackets: str) -> str:
+    """A JSON array (``brackets`` "[]") or object ("{}") of encoded items,
+    its closing bracket at ``depth``."""
+    if not items:
+        return brackets
+    return (brackets[0] + _NL[depth + 1] + _SEP[depth + 1].join(items)
+            + _NL[depth] + brackets[1])
+
+
+def _vector(values: Iterable[Any], depth: int) -> str:
+    """A JSON array of scalars closing at ``depth``."""
+    return _join([_scalar(v, depth + 1) for v in values], depth, "[]")
+
+
+class _Layout:
+    """One record kind's text at its nesting ``depth``: ``vectors`` (key ->
+    usual length) followed by ``scalars``. A record whose vectors have
+    their usual lengths and whose values are all finite floats fills one
+    flat ``%r`` template, whose float reprs are json's text for them; any
+    other is written value by value."""
+
+    def __init__(self, vectors: dict[str, int], scalars: tuple[str, ...],
+                 depth: int):
+        self.lengths = tuple(vectors.values())
+        self.depth = depth + 1  # of its keys
+        self.flat = _template({**{k: [None] * n for k, n in vectors.items()},
+                               **dict.fromkeys(scalars)}, depth, "%r")
+        self.general = _template(dict.fromkeys((*vectors, *scalars)), depth)
+
+    def text(self, vectors: tuple[Iterable[Any], ...], scalars: tuple[Any, ...]) -> str:
+        vectors = tuple(map(tuple, vectors))
+        values = (*chain.from_iterable(vectors), *scalars)
+        # NaN or an infinity makes the sum non-finite; finite floats whose
+        # sum overflows only take the value-by-value path
+        if (tuple(map(len, vectors)) == self.lengths
+                and _FLOAT.issuperset(map(type, values))
+                and (total := sum(values)) - total == 0.0):
+            return self.flat % values
+        depth = self.depth
+        return self.general % (*[_vector(v, depth) for v in vectors],
+                               *[_scalar(v, depth) for v in scalars])
+
+
+_SCENE = _template({"scene_id": None, "class_map": None, "cameras": None,
+                    "frames": None}, 0)
+_CAMERA = _template({"name": None,
+                     "intrinsics": dict.fromkeys(("fx", "fy", "cx", "cy", "width", "height")),
+                     "extrinsics": {"rotation": None, "translation": None}}, 2)
+_CUBOID = _Layout({"center": 3, "size": 3}, ("yaw",), 5)
+_BOX2D = _Layout({}, _BOX_KEYS, 6)
+_DETECTION = _Layout({"center": 3, "size": 3}, ("yaw", "score"), 5)
+
+
+def _camera_text(c: CameraModel) -> str:
+    return _CAMERA % (
+        _scalar(c.name, 3), _scalar(c.fx, 4), _scalar(c.fy, 4), _scalar(c.cx, 4),
+        _scalar(c.cy, 4), _scalar(c.width, 4), _scalar(c.height, 4),
+        _vector(c.rotation, 4), _vector(c.translation, 4))
+
+
+def _annotation_text(a: Annotation) -> str:
+    pairs = ['"track_id": ' + _scalar(a.track_id, 5),
+             '"category": ' + _scalar(a.category, 5)]
     if a.cuboid is not None:
-        out["cuboid"] = {
-            "center": list(a.cuboid.center),
-            "size": list(a.cuboid.size),
-            "yaw": a.cuboid.yaw,
-        }
+        c = a.cuboid
+        pairs.append('"cuboid": ' + _CUBOID.text((c.center, c.size), (c.yaw,)))
     if a.boxes2d:
-        out["boxes2d"] = {
-            cam: {"x0": b.x0, "y0": b.y0, "x1": b.x1, "y1": b.y1}
-            for cam, b in a.boxes2d.items()
-        }
-    return out
+        pairs.append('"boxes2d": ' + _join([
+            _key(cam) + ": " + _BOX2D.text((), (b.x0, b.y0, b.x1, b.y1))
+            for cam, b in a.boxes2d.items()], 5, "{}"))
+    return _join(pairs, 4, "{}")
+
+
+def _detection_text(b: Box3D) -> str:
+    return _DETECTION.text((b.center, b.size), (b.yaw, b.score))
+
+
+def _frame_text(f: Frame) -> str:
+    pairs = ['"timestamp_ns": ' + _scalar(f.timestamp_ns, 3),
+             '"annotations": ' + _join(list(map(_annotation_text, f.annotations)), 3, "[]")]
+    if f.detection_sets:
+        pairs.append('"detection_sets": ' + _join([
+            _key(name) + ": " + _join(list(map(_detection_text, boxes)), 4, "[]")
+            for name, boxes in f.detection_sets.items()], 3, "{}"))
+    return _join(pairs, 2, "{}")
+
+
+def scene_text(scene: Scene, class_map: Mapping[str, int]) -> str:
+    """A scene file's text: ``json.dumps(doc, indent=1)`` of the document
+    the schema describes, and a final newline (see the module docstring)."""
+    names = [name for name, _ in sorted(class_map.items(), key=lambda kv: kv[1])]
+    return _SCENE % (
+        _scalar(scene.scene_id, 1), _vector(names, 1),
+        _join(list(map(_camera_text, scene.cameras)), 1, "[]"),
+        _join(list(map(_frame_text, scene.frames)), 1, "[]")) + "\n"
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> list[Path]:
@@ -620,8 +706,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> list[Path]:
         targets = [(p / f"{s.scene_id}.json", s) for s in dataset.scenes]
     written = []
     for target, scene in targets:
-        doc = scene_to_dict(scene, dataset.class_map)
-        target.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        target.write_text(scene_text(scene, dataset.class_map), encoding="utf-8")
         written.append(target)
     return written
 

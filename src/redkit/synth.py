@@ -1,5 +1,6 @@
 """Seeded synthetic scenes with analytic ground truth, plus brute-force
-reference implementations of the pruning and redundancy measures.
+reference implementations of the pruning and redundancy measures and of
+the scene file text.
 
 Determinism contract: generation consumes randomness only from the
 xorshift64* generator below, so identical parameters reproduce bit-identical
@@ -11,9 +12,10 @@ grouping and redundancy bookkeeping exact.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .geometry import (
     Box2D,
@@ -488,6 +490,81 @@ def brute_force_distance(box: Cuboid3D) -> float:
     return math.sqrt(mx * mx + my * my + mz * mz)
 
 
+def scene_to_dict(scene: Scene, class_map: Mapping[str, int]) -> dict[str, Any]:
+    """Reference scene document: the schema's JSON-ready form of a scene,
+    built field by field as ``redkit.ingest``'s module docstring lays it
+    out."""
+    by_id = sorted(class_map.items(), key=lambda kv: kv[1])
+    return {
+        "scene_id": scene.scene_id,
+        "class_map": [name for name, _ in by_id],
+        "cameras": [
+            {
+                "name": c.name,
+                "intrinsics": {
+                    "fx": c.fx, "fy": c.fy, "cx": c.cx, "cy": c.cy,
+                    "width": c.width, "height": c.height,
+                },
+                "extrinsics": {
+                    "rotation": list(c.rotation),
+                    "translation": list(c.translation),
+                },
+            }
+            for c in scene.cameras
+        ],
+        "frames": [
+            {
+                "timestamp_ns": f.timestamp_ns,
+                "annotations": [
+                    _annotation_to_dict(a) for a in f.annotations
+                ],
+                **(
+                    {
+                        "detection_sets": {
+                            name: [
+                                {
+                                    "center": list(b.center),
+                                    "size": list(b.size),
+                                    "yaw": b.yaw,
+                                    "score": b.score,
+                                }
+                                for b in boxes
+                            ]
+                            for name, boxes in f.detection_sets.items()
+                        }
+                    }
+                    if f.detection_sets
+                    else {}
+                ),
+            }
+            for f in scene.frames
+        ],
+    }
+
+
+def _annotation_to_dict(a: Annotation) -> dict[str, Any]:
+    out: dict[str, Any] = {"track_id": a.track_id, "category": a.category}
+    if a.cuboid is not None:
+        out["cuboid"] = {
+            "center": list(a.cuboid.center),
+            "size": list(a.cuboid.size),
+            "yaw": a.cuboid.yaw,
+        }
+    if a.boxes2d:
+        out["boxes2d"] = {
+            cam: {"x0": b.x0, "y0": b.y0, "x1": b.x1, "y1": b.y1}
+            for cam, b in a.boxes2d.items()
+        }
+    return out
+
+
+def reference_scene_text(scene: Scene, class_map: Mapping[str, int]) -> str:
+    """Reference scene file text, which ``redkit.ingest.write_dataset``
+    must reproduce byte for byte: :func:`scene_to_dict` through
+    ``json.dumps(indent=1)``, and a final newline."""
+    return json.dumps(scene_to_dict(scene, class_map), indent=1) + "\n"
+
+
 __all__ = [
     "FORWARD_CAMERA_ROTATION",
     "GroundTruth",
@@ -499,4 +576,6 @@ __all__ = [
     "camera_at_yaw",
     "generate_scene",
     "nuscenes_like_cameras",
+    "reference_scene_text",
+    "scene_to_dict",
 ]

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import strategies as st
 
 from redkit.geometry import Box2D, CameraModel
-from redkit.ingest import Annotation, Dataset, Frame, Scene, scene_to_dict
-from redkit.synth import SynthParams, camera_at_yaw, generate_scene, nuscenes_like_cameras
+from redkit.ingest import Annotation, Dataset, Frame, Scene
+from redkit.synth import (
+    SynthParams,
+    camera_at_yaw,
+    generate_scene,
+    nuscenes_like_cameras,
+    scene_to_dict,
+)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import contextlib
 import copy
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import math
@@ -32,6 +33,7 @@ from redkit.synth import (
     camera_at_yaw,
     generate_scene,
     nuscenes_like_cameras,
+    reference_scene_text,
 )
 
 
@@ -102,6 +104,27 @@ def test_sim_ring_flag_uses_named_cameras(tmp_path):
     doc = json.loads(next(tmp_path.glob("*.json")).read_text())
     names = {cam["name"] for cam in doc["cameras"]}
     assert "CAM_FRONT" in names and "CAM_BACK_LEFT" in names
+
+
+# the SHA-256 of one sim scene per rig, as json.dumps(indent=1) writes it:
+# the scene file format, pinned byte for byte
+SIM_SCENE_DIGESTS = {
+    "--n-cameras=8": "f9d117db1e2454e677116ceb04387bb469dbceb34821ec56316faa1dfc0711b0",
+    "--nuscenes-ring": "97e58c03e48d216d27890a0f6a84ea58a02a8fd64a7b8d729f2dc77ace6efd23",
+}
+
+
+@pytest.mark.parametrize("rig", sorted(SIM_SCENE_DIGESTS))
+def test_sim_scene_bytes_are_fixed(tmp_path, rig):
+    assert run_cli("sim", "--out", tmp_path, "--seed", 16, rig, "--n-objects", 10,
+                   "--n-frames", 3, "--detection-noise", 0.1, "--drop-rate", 0.25) == 0
+    data = (tmp_path / "synth-0000000000000010.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SIM_SCENE_DIGESTS[rig]
+    params = SynthParams(seed=16, n_cameras=8, n_objects=10, n_frames=3,
+                         detection_noise=0.1, drop_rate=0.25)
+    ds, _ = generate_scene(params, nuscenes_like_cameras() if rig == "--nuscenes-ring"
+                           else None)
+    assert data == reference_scene_text(ds.scenes[0], ds.class_map).encode()
 
 
 @pytest.mark.parametrize("args,message", [

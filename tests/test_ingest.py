@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -19,23 +19,32 @@ from conftest import (
     scene_with_boxes,
     two_overlapping_cameras,
 )
-from redkit.geometry import Box2D, Cuboid3D
+from redkit.geometry import Box2D, Box3D, CameraModel, Cuboid3D
 from redkit.ingest import (
+    Annotation,
     Dataset,
+    Frame,
     GrayImage,
     ParseError,
+    Scene,
     ValidationError,
     emit_labels,
     parse_dataset,
     parse_pgm,
     resolve_box,
-    scene_to_dict,
+    scene_text,
     serialize_pgm,
     write_dataset,
 )
 from redkit.multisource import prune_dataset
 from redkit.overlap import build_overlap_graph
-from redkit.synth import SynthParams, camera_at_yaw, generate_scene
+from redkit.synth import (
+    SynthParams,
+    camera_at_yaw,
+    generate_scene,
+    reference_scene_text,
+    scene_to_dict,
+)
 
 # ------------------------------------------------------------------- PGM
 
@@ -451,6 +460,120 @@ def test_round_trip_is_byte_stable(tmp_path):
     assert first == second
 
 
+# a float subclass, which json writes by float's repr
+class Meters(float):
+    pass
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# what a float field of an in-memory record may hold: mostly finite
+# floats, which the writer's fast path takes, and every other number json
+# writes its own way
+reals = st.one_of(finite_floats, finite_floats, st.floats(), st.integers(-10**30, 10**30),
+                  st.booleans(), st.floats().map(Meters))
+# values that records check to be positive, or within [0, 1], let through
+sizes = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+positive = st.one_of(sizes, sizes, st.sampled_from([math.nan, math.inf]),
+                     st.integers(1, 10**30), st.just(True), sizes.map(Meters))
+scores = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 1),
+                   st.booleans(), st.floats(0.0, 1.0).map(Meters))
+# characters that json escapes: quotes, backslashes, control characters,
+# non-ASCII and lone surrogates; file names take those that a file name may
+# hold
+name_chars = '"\x1f\x7f\xe9\u2028\U00010080'
+escaped = st.characters() | st.sampled_from(name_chars + "\\\x00\ud800\udc80")
+names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/\\\0")
+                | st.sampled_from(name_chars), min_size=1, max_size=5
+                ).filter(lambda s: s not in (".", ".."))
+
+
+def vectors(values, floats=finite_floats):
+    """Mostly three values, the schema's length, but any length too, also
+    of floats alone."""
+    return (st.tuples(values, values, values) | st.lists(values, max_size=4).map(tuple)
+            | st.lists(floats, max_size=5).map(tuple))
+
+
+@st.composite
+def native_boxes(draw):
+    corners = []
+    for _ in range(2):
+        low, high = draw(reals), draw(reals)
+        corners.append((high, low) if high < low else (low, high))
+    (x0, x1), (y0, y1) = corners
+    assume(not (x1 - x0) * (y1 - y0) <= 0)
+    return Box2D(x0, y0, x1, y1)
+
+
+def cuboids(kind, *scores):
+    # center vectors may also hold arrays, which json lays out over lines
+    return st.builds(kind, vectors(reals | st.lists(finite_floats, max_size=2)),
+                     vectors(positive, sizes), reals, *scores)
+
+
+@st.composite
+def in_memory_datasets(draw):
+    """One scene whose records hold any value they accept, with its class
+    map."""
+    categories = draw(st.lists(st.text(escaped, max_size=4), min_size=1, max_size=3,
+                               unique=True))
+    ids = draw(st.permutations(range(len(categories))))
+    cameras = tuple(
+        CameraModel(name, draw(positive), draw(positive), draw(reals), draw(reals),
+                    draw(st.integers(1, 4000) | positive), draw(st.integers(1, 4000)),
+                    draw(st.sampled_from([(1.0, 0.0, 0.0, 0.0), (0.5, -0.5, 0.5, -0.5),
+                                          (True, 0, 0, 0), (Meters(1.0), 0.0, 0.0, 0.0),
+                                          (math.nan, 0.0, 0.0, 0.0)])),
+                    draw(vectors(reals)))
+        for name in draw(st.lists(names, max_size=3, unique=True)))
+    detections = cuboids(Box3D, scores)
+    frames = []
+    for ts in sorted(draw(st.sets(st.integers(0, 10**18), min_size=1, max_size=3))):
+        annotations = []
+        for track_id in draw(st.sets(st.text(escaped, max_size=5), max_size=3)):
+            boxes = {cam.name: draw(native_boxes()) for cam in cameras
+                     if draw(st.booleans())}
+            cuboid = draw(st.none() | cuboids(Cuboid3D)) if boxes else draw(cuboids(Cuboid3D))
+            annotations.append(Annotation(track_id, draw(st.sampled_from(categories)),
+                                          cuboid, boxes))
+        sets = draw(st.dictionaries(
+            st.text(escaped, max_size=4) | st.integers() | st.floats() | st.booleans()
+            | st.none(), st.lists(detections, max_size=2).map(tuple), max_size=3))
+        frames.append(Frame(ts, tuple(annotations), sets))
+    scene = Scene(draw(names), cameras, tuple(frames))
+    return Dataset((scene,), dict(zip(categories, ids)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(in_memory_datasets())
+def test_scene_text_is_the_json_reference(ds):
+    scene = ds.scenes[0]
+    assert scene_text(scene, ds.class_map) == reference_scene_text(scene, ds.class_map)
+
+
+def test_scene_text_splits_each_vector_by_its_own_length():
+    # six floats split 2 + 4 fill as many slots as the usual 3 + 3
+    ds, _ = generate_scene(SynthParams(seed=4, n_objects=1))
+    frame = ds.scenes[0].frames[0]
+    box = frame.detection_sets["fusion_baseline"][0]
+    odd = dataclasses.replace(box, center=box.center[:2], size=(box.center[2], *box.size))
+    frame = dataclasses.replace(frame, detection_sets={"fusion_baseline": (odd,)})
+    scene = dataclasses.replace(ds.scenes[0], frames=(frame,))
+    assert scene_text(scene, ds.class_map) == reference_scene_text(scene, ds.class_map)
+
+
+@pytest.mark.parametrize("value", [object(), 1 + 2j, {1.0}])
+def test_scene_text_rejects_what_json_rejects(value):
+    ds, _ = generate_scene(SynthParams(seed=4, n_objects=3))
+    ann = ds.scenes[0].frames[0].annotations[0]
+    odd = dataclasses.replace(ann, cuboid=dataclasses.replace(ann.cuboid, yaw=value))
+    frame = dataclasses.replace(ds.scenes[0].frames[0], annotations=(odd,))
+    scene = dataclasses.replace(ds.scenes[0], frames=(frame,))
+    for text in (scene_text, reference_scene_text):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            text(scene, ds.class_map)
+
+
 # ------------------------------------------------------------ label output
 
 
@@ -641,6 +764,26 @@ def test_records_built_in_memory_are_checked(build, message):
     # that parse_dataset rejects
     with pytest.raises(ValidationError, match=re.escape(message)):
         build(two_overlapping_cameras())
+
+
+@pytest.mark.parametrize("class_map", [
+    {"car": 5, "truck": 6},
+    {"car": 0, "truck": 0},
+    {"car": "0", "truck": "1"},
+    {"car": False, "truck": True},
+    {"car": 0.0, "truck": 1.0},
+    {"car": 1, "truck": 2},
+], ids=["offset", "all-zero", "strings", "bools", "floats", "from-one"])
+def test_dataset_rejects_class_ids_other_than_0_to_n_minus_1(tmp_path, class_map):
+    # such a map was accepted, and written as a name list that parsed back
+    # numbered from 0: prune labelled a car 5 in memory and 0 once written
+    scene = scene_with_boxes(two_overlapping_cameras(), [{"t": {"CAM_FRONT": BOX}}])
+    with pytest.raises(ValidationError, match=re.escape(
+            f"class map ids must be the integers 0 to 1, each once, got {class_map!r}")):
+        dataset_of(scene, class_map=class_map)
+    ds = dataset_of(scene, class_map={"truck": 1, "car": 0})
+    write_dataset(ds, tmp_path)
+    assert parse_dataset(tmp_path).class_map == ds.class_map
 
 
 @pytest.mark.parametrize("timestamp", [True, 0.5, "7"])

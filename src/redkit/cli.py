@@ -1,17 +1,19 @@
 """Command-line pipeline: audit, prune, sweep, mm, sim.
 
-Every command reads the canonical scene schema and returns its report files
-as text, JSON report last; :func:`main` alone creates ``--out`` (overridable
-with the ``REDKIT_OUTPUT_DIR`` environment variable) and writes them, once
-the command has computed them all, so a rejected command creates no
-``--out``. ``prune``'s labels and ``sim``'s scenes are written by
-:mod:`redkit.ingest`. Nothing embeds timestamps, so repeated runs on
-identical inputs are byte-identical.
+Every command reads the canonical scene schema and returns its files as
+text, JSON report last; :func:`main` alone writes them into ``--out``
+(overridable with the ``REDKIT_OUTPUT_DIR`` environment variable), with
+:func:`redkit.ingest.write_files`, once the command has computed them all, so
+a rejected command creates no ``--out``. It first cuts an old report to zero
+length, so a report that parses came from the run whose files precede it.
+``sim``'s scenes are written by :func:`redkit.ingest.write_dataset`. Nothing
+embeds timestamps, so repeated runs on identical inputs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -30,6 +32,7 @@ from .ingest import (
     emit_labels,
     parse_dataset,
     write_dataset,
+    write_files,
 )
 from .multimodal import distance_ttest, match_frame, pooled_sweep
 from .multisource import group_stats, overlap_similarity, prune_dataset, sweep_tau
@@ -120,8 +123,7 @@ def cmd_prune(args: argparse.Namespace) -> dict[str, str]:
     graphs = _build_graphs(dataset, args)
     kept, row = prune_dataset(
         dataset, graphs, args.tau, args.label_source, dict(args.pair_tau))
-    # creates out/labels, and with it out, once every label file is formatted
-    files = emit_labels(dataset, kept, Path(args.out) / "labels")
+    files = {f"labels/{name}": text for name, text in emit_labels(dataset, kept).items()}
     report = {
         "config": _echo(args, tau=args.tau, pair_taus=_pair_taus(args)),
         "tau": row.tau,
@@ -130,7 +132,8 @@ def cmd_prune(args: argparse.Namespace) -> dict[str, str]:
         "tracks": row.tracks,
         "label_files": len(files),
     }
-    return {"prune_report.json": _json(report)}
+    files["prune_report.json"] = _json(report)
+    return files
 
 
 def cmd_sweep(args: argparse.Namespace) -> dict[str, str]:
@@ -435,9 +438,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # sim writes its scenes itself, and its --out may name a file
         out = Path(args.out)
         if files:
-            out.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
-            (out / name).write_text(text, encoding="utf-8", newline="\n")
+            # an old report left whole would vouch for a failed run's files;
+            # a directory in its place fails the run before any write
+            with contextlib.suppress(FileNotFoundError):
+                os.truncate(out / next(reversed(files)), 0)
+        write_files(out, files)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"redkit {args.command}: error: {exc}", file=sys.stderr)
         return 1

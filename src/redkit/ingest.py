@@ -40,8 +40,9 @@ in pure Python whenever ``indent`` is set;
 :func:`redkit.synth.reference_scene_text` builds the document and calls
 ``json.dumps``, and is what the tests compare the writer with.
 
-Grayscale images use binary PGM (P5, maxval 255). Label emission writes one
-text file per frame and camera in the normalized ``class x y w h`` format.
+Grayscale images use binary PGM (P5, maxval 255). Label emission formats one
+text file per frame and camera in the normalized ``class x y w h`` format;
+:func:`write_files` writes every file redkit writes.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ def _check_label_file_names(scene_id: str, frames: Sequence[Frame],
 
 @dataclass(frozen=True)
 class Annotation:
-    """One object instance in one frame; each native 2D box has positive
-    area."""
+    """One object instance in one frame; its track id and category are
+    strings, and each native 2D box has positive area."""
 
     track_id: str
     category: str
@@ -143,6 +144,9 @@ class Annotation:
     boxes2d: dict[str, Box2D] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.track_id, str) and isinstance(self.category, str)):
+            raise ValidationError("annotation track_id and category must be strings, "
+                                  f"got {self.track_id!r} and {self.category!r}")
         if self.cuboid is None and not self.boxes2d:
             raise ValidationError(
                 f"annotation {self.track_id!r}: needs a cuboid or native 2D boxes"
@@ -156,7 +160,7 @@ class Annotation:
 
 @dataclass(frozen=True)
 class Frame:
-    """One timestamp's annotations, at most one per track."""
+    """One timestamp's annotations, at most one per track, and detection sets."""
 
     timestamp_ns: int
     annotations: tuple[Annotation, ...] = ()
@@ -164,6 +168,10 @@ class Frame:
 
     def __post_init__(self) -> None:
         _timestamp(self.timestamp_ns)
+        for name in self.detection_sets:
+            if not isinstance(name, str):
+                raise ValidationError(f"frame {self.timestamp_ns}: detection set "
+                                      f"name must be a string, got {name!r}")
         tracks: set[str] = set()
         for ann in self.annotations:
             if ann.track_id in tracks:
@@ -581,14 +589,6 @@ def _scalar(value: Any, depth: int) -> str:
     return json.dumps(value, indent=1).replace("\n", _NL[depth])
 
 
-def _key(key: Any) -> str:
-    """An object key's text: json turns a number, bool or None key into a
-    string and rejects any other type."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    return json.dumps({key: None})[1:-len(": null}")]
-
-
 def _join(items: list[str], depth: int, brackets: str) -> str:
     """A JSON array (``brackets`` "[]") or object ("{}") of encoded items,
     its closing bracket at ``depth``."""
@@ -657,7 +657,7 @@ def _annotation_text(a: Annotation) -> str:
         pairs.append('"cuboid": ' + _CUBOID.text((c.center, c.size), (c.yaw,)))
     if a.boxes2d:
         pairs.append('"boxes2d": ' + _join([
-            _key(cam) + ": " + _BOX2D.text((), (b.x0, b.y0, b.x1, b.y1))
+            _encode_str(cam) + ": " + _BOX2D.text((), (b.x0, b.y0, b.x1, b.y1))
             for cam, b in a.boxes2d.items()], 5, "{}"))
     return _join(pairs, 4, "{}")
 
@@ -671,7 +671,7 @@ def _frame_text(f: Frame) -> str:
              '"annotations": ' + _join(list(map(_annotation_text, f.annotations)), 3, "[]")]
     if f.detection_sets:
         pairs.append('"detection_sets": ' + _join([
-            _key(name) + ": " + _join(list(map(_detection_text, boxes)), 4, "[]")
+            _encode_str(name) + ": " + _join(list(map(_detection_text, boxes)), 4, "[]")
             for name, boxes in f.detection_sets.items()], 3, "{}"))
     return _join(pairs, 2, "{}")
 
@@ -699,16 +699,45 @@ def write_dataset(dataset: Dataset, path: str | Path) -> list[Path]:
     if p.suffix == ".json":
         if len(dataset.scenes) != 1:
             raise ValueError("a single scene file can hold exactly one scene")
-        targets = [(p, dataset.scenes[0])]
-        p.parent.mkdir(parents=True, exist_ok=True)
+        root, targets = p.parent, [p]
     else:
-        p.mkdir(parents=True, exist_ok=True)
-        targets = [(p / f"{s.scene_id}.json", s) for s in dataset.scenes]
-    written = []
-    for target, scene in targets:
-        target.write_text(scene_text(scene, dataset.class_map), encoding="utf-8")
-        written.append(target)
-    return written
+        root, targets = p, [p / f"{s.scene_id}.json" for s in dataset.scenes]
+    write_files(root, {target.name: scene_text(scene, dataset.class_map)
+                       for target, scene in zip(targets, dataset.scenes)})
+    return targets
+
+
+def write_files(root: str | os.PathLike, files: Mapping[str, str]) -> None:
+    """Write each of ``files``, a path under ``root`` and its text, as UTF-8
+    in order, once every parent directory exists; the only code in redkit
+    that creates a directory or opens a file for writing.
+
+    An existing file is overwritten in place and then cut to its new length,
+    so a completed call leaves it with its new bytes, its name and mode, and
+    a new mtime; a crash or kill before the cut can leave the start of its
+    new bytes followed by the tail of its old ones. Nothing is synced to
+    disk, and files that ``files`` does not name are left as they are.
+    """
+    targets = [os.path.join(root, name) for name in files]
+    for parent in dict.fromkeys(map(os.path.dirname, targets)):
+        os.makedirs(parent, exist_ok=True)
+    for target, text in zip(targets, files.values()):
+        data = text.encode("utf-8")
+        # not open(target, "wb"): a file truncated to zero and written
+        # again has its blocks freed and allocated anew, and ext4 starts
+        # its writeback at close; an existing file is overwritten in place
+        # and then cut to the new length. Plain os calls, not open() on
+        # the fd: the buffered file object's set-up, isatty and tell cost
+        # more per small file than they save, enough to make creating new
+        # files slower than open(target, "wb") was
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
 
 
 # --------------------------------------------------------------------------
@@ -735,9 +764,10 @@ def resolve_box(annotation: Annotation, cam: CameraModel, source: str
     raise ValueError(f"unknown label source {source!r}, expected one of {LABEL_SOURCES}")
 
 
-def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D],
-                out_dir: str | Path) -> list[Path]:
-    """Write one normalized label file per frame and camera.
+def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D]
+                ) -> dict[str, str]:
+    """Format one normalized label file per frame and camera: each file's
+    name mapped to its text, in scene, frame and camera order.
 
     ``kept`` maps ``(scene_id, timestamp_ns, camera, track_id)`` keys to
     their boxes clipped to the image, as
@@ -747,27 +777,15 @@ def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D
     kept boxes in a camera still get their (empty) file. A key naming a
     scene, frame, camera or track the dataset lacks is an error. The
     records already checked each name on its own, so emission checks the
-    names only against each other; every file is formatted, and its name
-    checked, before ``out_dir`` is created and the first one written.
-
-    A file that exists already is rewritten in place, not truncated first:
-    the new bytes go over the old ones and ``ftruncate`` then cuts off any
-    old tail, so a completed call leaves each file with its new bytes, its
-    name and mode, and a new mtime. Nothing is synced to disk. A crash or
-    kill before the cut can leave a file holding the start of its new
-    bytes followed by the tail of its old ones (valid label lines of two
-    runs), where truncating first would have left it short or empty; rerun
-    into an empty ``out_dir`` after a crash. Files in ``out_dir`` that this
-    call does not name are left as they are.
+    names only against each other.
     """
     kept_index: dict[tuple[str, int, str], dict[str, Box2D]] = {}
     for (scene_id, ts, camera, track_id), box in kept.items():
         kept_index.setdefault((scene_id, ts, camera), {})[track_id] = box
-    out = Path(out_dir)
     # file name -> the scene it is written for; scene ids and camera names
     # may both contain "__", so two scenes can map to one name
     owners: dict[str, str] = {}
-    files: list[tuple[Path, bytes]] = []
+    files: dict[str, str] = {}
     for scene in dataset.scenes:
         for frame in scene.frames:
             by_track = {a.track_id: a for a in frame.annotations}
@@ -789,31 +807,13 @@ def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D
                         f"{owners[name]!r} and scene {scene.scene_id!r}"
                     )
                 owners[name] = scene.scene_id
-                files.append((out / name, ("\n".join(lines) + "\n").encode("ascii")
-                              if lines else b""))
+                files[name] = "\n".join(lines) + "\n" if lines else ""
     if kept_index:
         (scene_id, ts, camera), tracks = next(iter(kept_index.items()))
         key = (scene_id, ts, camera, min(tracks))
         raise ValidationError(f"kept key {key!r} names no frame and camera "
                               "of the dataset")
-    out.mkdir(parents=True, exist_ok=True)
-    for target, data in files:
-        # not open(target, "wb"): a file truncated to zero and written
-        # again has its blocks freed and allocated anew, and ext4 starts
-        # its writeback at close; an existing file is overwritten in place
-        # and then cut to the new length. Plain os calls, not open() on
-        # the fd: the buffered file object's set-up, isatty and tell cost
-        # more per small file than they save, enough to make creating new
-        # files slower than open(target, "wb") was
-        fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-            os.ftruncate(fd, len(data))
-        finally:
-            os.close(fd)
-    return [target for target, _ in files]
+    return files
 
 
 def _format_label(class_id: int, clipped: Box2D, cam: CameraModel) -> str:

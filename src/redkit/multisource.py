@@ -255,7 +255,7 @@ def prune_dataset(dataset: Dataset,
     Returns:
         The kept labels, each key ``(scene_id, timestamp_ns, camera,
         track_id)`` mapped to its box clipped to the image (what
-        :func:`redkit.ingest.emit_labels` writes), and the count row for
+        :func:`redkit.ingest.emit_labels` formats), and the count row for
         this threshold.
     """
     check_threshold(tau, "tau")

@@ -6,10 +6,12 @@ import copy
 import dataclasses
 import gc
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import redkit
 import redkit.cli
 from conftest import box_with_bcs, dataset_of, holder, json_values, scene_with_boxes
 from redkit.cli import build_parser, main
@@ -496,6 +499,61 @@ def test_report_path_taken_by_a_directory_fails_the_command(
     assert len(err) == 1 and err[0].startswith(f"redkit {command}: error: ")
     assert repr(str(out / taken)) in err[0]
     assert not (out / report).exists()
+
+
+def label_name(scene, frame, camera):
+    return (f"labels/{scene.scene_id}__{scene.frames[frame].timestamp_ns}"
+            f"__{scene.cameras[camera].name}.txt")
+
+
+# command -> (options of a first run, options of a rerun, each position in
+# the rerun's write order -> the file there, the JSON report last)
+RERUNS = {
+    "audit": (["--min-overlap", "1"], ["--min-overlap", "5"],
+              {"report": lambda s: "audit.json"}),
+    "prune": (["--tau", "0.3"], ["--tau", "0.05"],
+              {"first": lambda s: label_name(s, 0, 0),
+               "middle": lambda s: label_name(s, len(s.frames) // 2, 1),
+               "report": lambda s: "prune_report.json"}),
+    "sweep": (["--taus", "0.3", "--emit-plot-data"],
+              ["--taus", "0.1,0.2", "--emit-plot-data"],
+              {"first": lambda s: "sweep.csv",
+               "middle": lambda s: "sweep_deleted.xy",
+               "report": lambda s: "sweep_report.json"}),
+    "mm": (["--theta", "0.5", "--emit-plot-data"],
+           ["--theta", "0.2", "--t-dist", "0,1,2", "--emit-plot-data"],
+           {"first": lambda s: "mm_sweep.csv",
+            "middle": lambda s: "mm_ttest.txt",
+            "report": lambda s: "mm_report.json"}),
+}
+
+
+@pytest.mark.parametrize("command,position", [
+    (command, position) for command, (_, _, taken) in RERUNS.items()
+    for position in taken])
+def test_failed_rerun_into_a_used_out_leaves_no_report_that_parses(
+        ring_dataset, tmp_path, capsys, command, position):
+    # the first run's report used to stay whole beside the files the failed
+    # rerun wrote before its failure, and claim them
+    data_dir, ds = ring_dataset
+    first, rerun, taken = RERUNS[command]
+    out = tmp_path / "out"
+    assert run_cli(command, "--dataset", data_dir, "--out", out, *first) == 0
+    names = {name: make(ds.scenes[0]) for name, make in taken.items()}
+    report = out / names["report"]
+    assert json.loads(report.read_bytes())
+    path = out / names[position]
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    assert run_cli(command, "--dataset", data_dir, "--out", out, *rerun) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"redkit {command}: error: ")
+    assert repr(str(path)) in err[0]
+    if position == "report":
+        assert report.is_dir()
+    else:
+        assert report.read_bytes() == b""
 
 
 @pytest.mark.parametrize("command", ["prune", "sweep"])
@@ -1006,18 +1064,38 @@ def test_cli_imports_no_private_names_or_iou3d():
                 assert alias.name not in analysis, alias.name
 
 
-def test_only_main_creates_out_or_writes_files():
-    # commands return their files and main writes them, so no command can
-    # create --out before a check of its own fails
-    tree = ast.parse(Path(redkit.cli.__file__).read_text(encoding="utf-8"))
-    writers = {
-        func.name
-        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
-        for node in ast.walk(func)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("write_text", "mkdir")
-    }
-    assert writers == {"main"}
+def calls_by_function(module, names):
+    """``(function, name)`` for each call in ``module``'s source to a function
+    or method called ``name`` of ``names``; ``function`` is the innermost
+    function around the call, or ``"<module>"``."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.add((where, name))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(Path(module.__file__).read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_write_files_creates_directories_or_opens_files_for_writing():
+    # one writer for every file: commands return their files and main writes
+    # them, so no command can create --out before a check of its own fails,
+    # and every file is written in place by the same code
+    writes = {"mkdir", "makedirs", "open", "write_text", "write_bytes"}
+    modules = [redkit] + [importlib.import_module(f"redkit.{m.name}")
+                          for m in pkgutil.iter_modules(redkit.__path__)]
+    assert "redkit.cli" in {m.__name__ for m in modules}
+    writers = {(m.__name__, where) for m in modules
+               for where, _ in calls_by_function(m, writes)}
+    assert writers == {("redkit.ingest", "write_files")}
+    assert calls_by_function(redkit.cli, {"write_files", "truncate", "write_dataset"}) == {
+        ("main", "write_files"), ("main", "truncate"), ("cmd_sim", "write_dataset")}
 
 
 def test_unsafe_scene_id_writes_nothing_outside_out(tmp_path, capsys):

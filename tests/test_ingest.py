@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -35,6 +36,7 @@ from redkit.ingest import (
     scene_text,
     serialize_pgm,
     write_dataset,
+    write_files,
 )
 from redkit.multisource import prune_dataset
 from redkit.overlap import build_overlap_graph
@@ -537,8 +539,8 @@ def in_memory_datasets(draw):
             annotations.append(Annotation(track_id, draw(st.sampled_from(categories)),
                                           cuboid, boxes))
         sets = draw(st.dictionaries(
-            st.text(escaped, max_size=4) | st.integers() | st.floats() | st.booleans()
-            | st.none(), st.lists(detections, max_size=2).map(tuple), max_size=3))
+            st.text(escaped, max_size=4), st.lists(detections, max_size=2).map(tuple),
+            max_size=3))
         frames.append(Frame(ts, tuple(annotations), sets))
     scene = Scene(draw(names), cameras, tuple(frames))
     return Dataset((scene,), dict(zip(categories, ids)))
@@ -577,49 +579,44 @@ def test_scene_text_rejects_what_json_rejects(value):
 # ------------------------------------------------------------ label output
 
 
-def read_lines(path):
-    text = path.read_text()
+def read_lines(text):
     return [ln for ln in text.split("\n") if ln]
 
 
-def test_full_image_box_label_line(tmp_path):
+def test_full_image_box_label_line():
     cams = two_overlapping_cameras()
     scene = scene_with_boxes(
         cams, [{"t0": {"CAM_FRONT": Box2D(0.0, 0.0, 1600.0, 900.0)}}]
     )
     ds = dataset_of(scene, class_map={"car": 0})
     kept = {("scene-0", 0, "CAM_FRONT", "t0"): Box2D(0.0, 0.0, 1600.0, 900.0)}
-    emit_labels(ds, kept, tmp_path)
-    lines = read_lines(tmp_path / "scene-0__0__CAM_FRONT.txt")
+    lines = read_lines(emit_labels(ds, kept)["scene-0__0__CAM_FRONT.txt"])
     assert lines == ["0 0.500000 0.500000 1.000000 1.000000"]
 
 
-def test_quarter_box_label_line(tmp_path):
+def test_quarter_box_label_line():
     cams = two_overlapping_cameras()
     scene = scene_with_boxes(
         cams, [{"t0": {"CAM_FRONT": Box2D(400.0, 225.0, 800.0, 450.0)}}]
     )
     ds = dataset_of(scene, class_map={"car": 3, "truck": 0, "pedestrian": 1, "cyclist": 2})
     kept = {("scene-0", 0, "CAM_FRONT", "t0"): Box2D(400.0, 225.0, 800.0, 450.0)}
-    emit_labels(ds, kept, tmp_path)
-    lines = read_lines(tmp_path / "scene-0__0__CAM_FRONT.txt")
+    lines = read_lines(emit_labels(ds, kept)["scene-0__0__CAM_FRONT.txt"])
     assert lines == ["3 0.375000 0.375000 0.250000 0.250000"]
 
 
-def test_empty_label_files_are_emitted(tmp_path):
+def test_empty_label_files_are_emitted():
     cams = two_overlapping_cameras()
     scene = scene_with_boxes(
         cams, [{"t0": {"CAM_FRONT": Box2D(10.0, 10.0, 20.0, 20.0)}}]
     )
     ds = dataset_of(scene)
-    paths = emit_labels(ds, {}, tmp_path)
-    assert len(paths) == 2
-    for path in paths:
-        assert path.exists()
-        assert path.read_text() == ""
+    # in frame and camera order
+    assert list(emit_labels(ds, {}).items()) == [
+        ("scene-0__0__CAM_FRONT.txt", ""), ("scene-0__0__CAM_FRONT_RIGHT.txt", "")]
 
 
-def test_label_lines_are_five_normalized_fields(tmp_path):
+def test_label_lines_are_five_normalized_fields():
     ds, _ = generate_scene(SynthParams(seed=9, n_objects=10, n_frames=2))
     all_keys = {
         (scene.scene_id, frame.timestamp_ns, cam.name, ann.track_id):
@@ -630,10 +627,11 @@ def test_label_lines_are_five_normalized_fields(tmp_path):
         for cam in scene.cameras
         if cam.name in ann.boxes2d
     }
-    paths = emit_labels(ds, all_keys, tmp_path)
+    files = emit_labels(ds, all_keys)
+    assert len(files) == sum(len(s.frames) * len(s.cameras) for s in ds.scenes)
     total = 0
-    for path in paths:
-        for line in read_lines(path):
+    for text in files.values():
+        for line in read_lines(text):
             fields = line.split(" ")
             assert len(fields) == 5
             int(fields[0])
@@ -643,7 +641,7 @@ def test_label_lines_are_five_normalized_fields(tmp_path):
     assert total == len(all_keys)
 
 
-def test_labels_sorted_by_track_within_file(tmp_path):
+def test_labels_sorted_by_track_within_file():
     cams = two_overlapping_cameras()
     scene = scene_with_boxes(
         cams,
@@ -655,37 +653,67 @@ def test_labels_sorted_by_track_within_file(tmp_path):
     ds = dataset_of(scene)
     kept = {("scene-0", 0, "CAM_FRONT", "zz"): Box2D(30.0, 30.0, 40.0, 40.0),
             ("scene-0", 0, "CAM_FRONT", "aa"): Box2D(10.0, 10.0, 20.0, 20.0)}
-    emit_labels(ds, kept, tmp_path)
-    lines = read_lines(tmp_path / "scene-0__0__CAM_FRONT.txt")
+    lines = read_lines(emit_labels(ds, kept)["scene-0__0__CAM_FRONT.txt"])
     assert len(lines) == 2
     a_center = (10.0 + 20.0) / 2 / 1600.0
     assert float(lines[0].split()[1]) == pytest.approx(a_center, abs=1e-6)
 
 
-def test_existing_label_files_are_rewritten_whole(tmp_path):
+# (old bytes, new text) of a file that shrinks, grows, becomes empty,
+# stops being empty, keeps its bytes and stays empty
+REWRITES = {
+    "shorter": (b"9 0.1 0.1 0.1 0.1\n" * 300, "0 0.5 0.5 1 1\n"),
+    "longer": (b"stale\n", "0 0.5 0.5 1 1\n" * 300),
+    "emptied": (b"stale\n", ""),
+    "filled": (b"", "0 0.5 0.5 1 1\n"),
+    "unchanged": (b"same\n", "same\n"),
+    "still-empty": (b"", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REWRITES))
+def test_write_files_rewrites_each_existing_file_whole(tmp_path, case):
     # files are overwritten in place and then cut to length: an old tail
-    # must not survive, and a file emission does not name stays as it was
-    cams = two_overlapping_cameras()
-    scene = scene_with_boxes(
-        cams, [{"t0": {"CAM_FRONT": Box2D(0.0, 0.0, 1600.0, 900.0)}}]
-    )
-    ds = dataset_of(scene, class_map={"car": 0})
-    front = tmp_path / "scene-0__0__CAM_FRONT.txt"
-    right = tmp_path / "scene-0__0__CAM_FRONT_RIGHT.txt"
-    other = tmp_path / "scene-0__7__CAM_FRONT.txt"
-    front.write_bytes(b"9 0.1 0.1 0.1 0.1\n" * 300)
-    right.write_bytes(b"stale\n")
-    other.write_bytes(b"untouched\n")
-    front.chmod(0o640)
-    kept = {("scene-0", 0, "CAM_FRONT", "t0"): Box2D(0.0, 0.0, 1600.0, 900.0)}
-    assert emit_labels(ds, kept, tmp_path) == [front, right]
-    assert front.read_bytes() == b"0 0.500000 0.500000 1.000000 1.000000\n"
-    assert right.read_bytes() == b""
-    assert other.read_bytes() == b"untouched\n"
-    assert front.stat().st_mode & 0o777 == 0o640
+    # must not survive, each file named moves its mtime even when its bytes
+    # do not change, and a file not named stays as it was
+    old, new = REWRITES[case]
+    names = ["prune_report.json", "labels/scene-0__0__CAM_FRONT.txt", "data/scene-0.json"]
+    paths = [tmp_path / name for name in names]
+    other = tmp_path / "labels" / "scene-0__7__CAM_FRONT.txt"
+    for path in paths + [other]:
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(other.name.encode() if path == other else old)
+        path.chmod(0o640)
+    past = 10**9  # one second after the epoch
+    for path in paths:
+        os.utime(path, ns=(past, past))
+    write_files(tmp_path, {name: new for name in names})
+    for path in paths:
+        assert path.read_bytes() == new.encode()
+        assert path.stat().st_mtime_ns > past
+        assert path.stat().st_mode & 0o777 == 0o640
+    assert other.read_bytes() == other.name.encode()
 
 
-def test_label_lines_format_the_kept_box(tmp_path):
+def test_write_files_creates_each_parent_once(tmp_path, monkeypatch):
+    made = []
+    makedirs = os.makedirs
+    monkeypatch.setattr(os, "makedirs", lambda p, **kw: made.append(p) or makedirs(p, **kw))
+    files = {"a/b/one.txt": "1", "a/b/two.txt": "ü\n", "top.json": "{}", "a/c.txt": ""}
+    write_files(tmp_path / "new", files)
+    assert {name: (tmp_path / "new" / name).read_bytes() for name in files} == {
+        name: text.encode("utf-8") for name, text in files.items()}
+    # into existing directories, so makedirs does not call itself for the
+    # missing ancestors
+    made.clear()
+    write_files(tmp_path / "new", files)
+    assert made == [str(tmp_path / "new" / d) for d in ("a/b", "", "a")]
+    made.clear()
+    write_files(tmp_path / "nothing", {})
+    assert made == [] and not (tmp_path / "nothing").exists()
+
+
+def test_label_lines_format_the_kept_box():
     # emission formats the box it is given; it does not resolve one again
     cams = two_overlapping_cameras()
     scene = scene_with_boxes(
@@ -693,18 +721,16 @@ def test_label_lines_format_the_kept_box(tmp_path):
     )
     ds = dataset_of(scene, class_map={"car": 0})
     kept = {("scene-0", 0, "CAM_FRONT", "t0"): Box2D(400.0, 225.0, 800.0, 450.0)}
-    emit_labels(ds, kept, tmp_path)
-    lines = read_lines(tmp_path / "scene-0__0__CAM_FRONT.txt")
+    lines = read_lines(emit_labels(ds, kept)["scene-0__0__CAM_FRONT.txt"])
     assert lines == ["0 0.375000 0.375000 0.250000 0.250000"]
 
 
-def test_kept_key_naming_an_unknown_track_is_rejected(tmp_path):
+def test_kept_key_naming_an_unknown_track_is_rejected():
     cams = two_overlapping_cameras()
     scene = scene_with_boxes(cams, [{"t0": {"CAM_FRONT": Box2D(10.0, 10.0, 20.0, 20.0)}}])
     kept = {("scene-0", 0, "CAM_FRONT", "ghost"): Box2D(10.0, 10.0, 20.0, 20.0)}
     with pytest.raises(ValidationError, match="unknown track 'ghost'"):
-        emit_labels(dataset_of(scene), kept, tmp_path / "labels")
-    assert not (tmp_path / "labels").exists()
+        emit_labels(dataset_of(scene), kept)
 
 
 @pytest.mark.parametrize("key", [
@@ -712,15 +738,14 @@ def test_kept_key_naming_an_unknown_track_is_rejected(tmp_path):
     ("scene-0", 5, "CAM_FRONT", "t0"),
     ("scene-9", 0, "CAM_FRONT", "t0"),
 ])
-def test_kept_key_naming_no_frame_or_camera_is_rejected(tmp_path, key):
+def test_kept_key_naming_no_frame_or_camera_is_rejected(key):
     # such a key used to be dropped without a word
     cams = two_overlapping_cameras()
     scene = scene_with_boxes(cams, [{"t0": {"CAM_FRONT": Box2D(10.0, 10.0, 20.0, 20.0)}}])
     kept = {("scene-0", 0, "CAM_FRONT", "t0"): Box2D(10.0, 10.0, 20.0, 20.0),
             key: Box2D(10.0, 10.0, 20.0, 20.0)}
     with pytest.raises(ValidationError, match=re.escape(repr(key))):
-        emit_labels(dataset_of(scene), kept, tmp_path / "labels")
-    assert not (tmp_path / "labels").exists()
+        emit_labels(dataset_of(scene), kept)
 
 
 @pytest.mark.parametrize("scene_id", ["a\ud800b", "a\udc80b"])
@@ -754,14 +779,23 @@ BOX = Box2D(10.0, 10.0, 20.0, 20.0)
      "camera 'CAM_FRONT_RIGHT' is 256 bytes, longer than 255"),
     (lambda cams: scene_with_boxes(cams, [{"t": {"CAM_FRONT": Box2D(10, 10, 10, 50)}}]),
      "annotation 't' box in 'CAM_FRONT': native box must have positive area"),
+    (lambda cams: Annotation(5, "car", boxes2d={"CAM_FRONT": BOX}),
+     "annotation track_id and category must be strings, got 5 and 'car'"),
+    (lambda cams: Annotation("t", b"car", boxes2d={"CAM_FRONT": BOX}),
+     "annotation track_id and category must be strings, got 't' and b'car'"),
+    (lambda cams: Frame(0, (), {"fusion_baseline": (), 1: ()}),
+     "frame 0: detection set name must be a string, got 1"),
 ], ids=["duplicate-camera", "no-frames", "unknown-box-camera", "unknown-category",
-        "long-label-file-name", "box-without-area"])
+        "long-label-file-name", "box-without-area", "track-id-not-a-string",
+        "category-not-a-string", "detection-set-name-not-a-string"])
 def test_records_built_in_memory_are_checked(build, message):
     # only the parser checked these: a repeated camera name failed emission
     # claiming two scenes of one id shared a file, an unknown category
     # ended in a bare KeyError, and prune_dataset and group_stats silently
     # dropped a box without area, which write_dataset then wrote to a file
-    # that parse_dataset rejects
+    # that parse_dataset rejects; a track id or category that is not a
+    # string was written to a file that parse_dataset rejects, and a
+    # detection set named 1 was parsed back as "1"
     with pytest.raises(ValidationError, match=re.escape(message)):
         build(two_overlapping_cameras())
 
@@ -805,7 +839,7 @@ def test_unsafe_scene_id_built_in_memory_writes_nothing(tmp_path):
         evil = dataclasses.replace(
             ds, scenes=(dataclasses.replace(ds.scenes[0], scene_id="../evil"),))
         kept, _ = prune_dataset(evil, graph, 0.3)
-        emit_labels(evil, kept, tmp_path / "out" / "labels")
+        write_files(tmp_path / "out" / "labels", emit_labels(evil, kept))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -153,7 +153,8 @@ def cmd_sweep(args: argparse.Namespace) -> dict[str, str]:
         files["sweep_remaining.xy"] = "".join(
             f"{r.tau:.6f} {r.remaining}\n" for r in rows)
     files["sweep_report.json"] = _json({
-        "config": _echo(args, taus=list(args.taus), pair_taus=_pair_taus(args))})
+        "config": _echo(args, taus=list(args.taus), pair_taus=_pair_taus(args),
+                        emit_plot_data=args.emit_plot_data)})
     return files
 
 
@@ -211,7 +212,7 @@ def cmd_mm(args: argparse.Namespace) -> dict[str, str]:
     report = {
         "config": _echo(args, theta=args.theta, t_dist=list(args.t_dist),
                         rr_split=args.rr_split, base_set=args.base_set,
-                        lidar_set=args.lidar_set),
+                        lidar_set=args.lidar_set, emit_plot_data=args.emit_plot_data),
         "frames_used": len(frames),
         "frames_skipped": skipped,
         "rr_mean": sum(f["rr"] for f in per_frame) / len(per_frame),

@@ -36,7 +36,10 @@ bit-exactly. A caller that reads only some per-frame parts (``annotations``,
 indent=1)`` and a newline, ``doc`` being the document above, so the format
 is that of ``json`` itself. It emits that text from one template per record
 kind (:func:`scene_text`) rather than through ``json``, whose encoder runs
-in pure Python whenever ``indent`` is set;
+in pure Python whenever ``indent`` is set. It refuses with
+``ValidationError`` any value the parser would reject and any number the
+parser would read back as another type or number (NaN, a bool, a float
+subclass, a vector of another length, ...).
 :func:`redkit.synth.reference_scene_text` builds the document and calls
 ``json.dumps``, and is what the tests compare the writer with.
 
@@ -52,7 +55,6 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -226,6 +228,8 @@ class Dataset:
     class_map: dict[str, int]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(name, str) for name in self.class_map):
+            raise ValidationError(f"class map keys must be strings, got {self.class_map!r}")
         ids = self.class_map.values()
         # type, not isinstance: True and False would pass as 1 and 0
         if not ({int}.issuperset(map(type, ids))
@@ -390,12 +394,18 @@ def _floats(values: Sequence[Any], names: Sequence[str], ctx: str
     return tuple(_finite(v, name, ctx) for v, name in zip(values, names))
 
 
-def _vec(value: Any, n: int, what: str, ctx: str) -> tuple[float, ...]:
-    """``value`` as ``n`` floats if it is an array of ``n`` JSON numbers."""
-    if not isinstance(value, list) or len(value) != n:
+def _array(value: Any, n: int, what: str, ctx: str) -> Sequence[Any]:
+    """``value`` if it is an array of ``n`` entries: a JSON array, or a
+    record's list or tuple."""
+    if type(value) not in (list, tuple) or len(value) != n:
         raise ParseError(f"{ctx}: {what} must be an array of {n} numbers, "
                          f"got {value!r}")
-    return _floats(value, (f"{what} entry",) * n, ctx)
+    return value
+
+
+def _vec(value: Any, n: int, what: str, ctx: str) -> tuple[float, ...]:
+    """``value`` as ``n`` floats if it is an array of ``n`` JSON numbers."""
+    return _floats(_array(value, n, what, ctx), (f"{what} entry",) * n, ctx)
 
 
 def _integer(value: Any, what: str, ctx: str) -> int:
@@ -559,34 +569,17 @@ def parse_dataset(path: str | Path, *,
 # canonical schema emission
 
 
-_float_repr = float.__repr__
-_int_repr = int.__repr__
 _encode_str = json.encoder.encode_basestring_ascii
-_FLOAT = frozenset((float,))
 # _NL[d] starts a line indented to nesting depth d, _SEP[d] also ends the
 # item before it
 _NL = tuple("\n" + " " * d for d in range(8))
 _SEP = tuple("," + nl for nl in _NL)
 
 
-def _template(record: dict[str, Any], depth: int, slot: str = "%s") -> str:
+def _template(record: dict[str, Any], depth: int) -> str:
     """``json.dumps(record, indent=1)`` for a record at nesting ``depth``,
-    each ``None`` value a ``slot``."""
-    return json.dumps(record, indent=1).replace("\n", _NL[depth]).replace("null", slot)
-
-
-def _scalar(value: Any, depth: int) -> str:
-    """``value``'s text at ``depth``: a finite float or an int by the repr
-    json gives it, a string by json's ASCII escaping, anything else by
-    ``json.dumps`` itself (its text for NaN, infinities, bools, None, int
-    and float subclasses and containers, its ``TypeError`` for the rest)."""
-    if type(value) is float and value - value == 0.0:
-        return _float_repr(value)
-    if type(value) is str:
-        return _encode_str(value)
-    if type(value) is int:
-        return _int_repr(value)
-    return json.dumps(value, indent=1).replace("\n", _NL[depth])
+    each ``None`` value a ``%s`` slot."""
+    return json.dumps(record, indent=1).replace("\n", _NL[depth]).replace("null", "%s")
 
 
 def _join(items: list[str], depth: int, brackets: str) -> str:
@@ -598,80 +591,68 @@ def _join(items: list[str], depth: int, brackets: str) -> str:
             + _NL[depth] + brackets[1])
 
 
-def _vector(values: Iterable[Any], depth: int) -> str:
-    """A JSON array of scalars closing at ``depth``."""
-    return _join([_scalar(v, depth + 1) for v in values], depth, "[]")
+def _numbers(ctx: str, names: Sequence[str], *values: Any) -> tuple[Any, ...]:
+    """``values``, which ``%s`` writes as ``json`` does, if the parser reads
+    each back as itself: by :func:`_floats`' rule an ``int`` or ``float``
+    (no subclass) finite as a float, and one that a float holds exactly.
+    The error for the first that is not names its entry of ``names``."""
+    floats = _floats(values, names, ctx)
+    if floats != values:
+        name, value = next((n, v) for n, v, f in zip(names, values, floats) if f != v)
+        raise ValidationError(f"{ctx}: {name} is an integer that no float holds exactly, "
+                              f"got {value!r}")
+    return values
 
 
-class _Layout:
-    """One record kind's text at its nesting ``depth``: ``vectors`` (key ->
-    usual length) followed by ``scalars``. A record whose vectors have
-    their usual lengths and whose values are all finite floats fills one
-    flat ``%r`` template, whose float reprs are json's text for them; any
-    other is written value by value."""
-
-    def __init__(self, vectors: dict[str, int], scalars: tuple[str, ...],
-                 depth: int):
-        self.lengths = tuple(vectors.values())
-        self.depth = depth + 1  # of its keys
-        self.flat = _template({**{k: [None] * n for k, n in vectors.items()},
-                               **dict.fromkeys(scalars)}, depth, "%r")
-        self.general = _template(dict.fromkeys((*vectors, *scalars)), depth)
-
-    def text(self, vectors: tuple[Iterable[Any], ...], scalars: tuple[Any, ...]) -> str:
-        vectors = tuple(map(tuple, vectors))
-        values = (*chain.from_iterable(vectors), *scalars)
-        # NaN or an infinity makes the sum non-finite; finite floats whose
-        # sum overflows only take the value-by-value path
-        if (tuple(map(len, vectors)) == self.lengths
-                and _FLOAT.issuperset(map(type, values))
-                and (total := sum(values)) - total == 0.0):
-            return self.flat % values
-        depth = self.depth
-        return self.general % (*[_vector(v, depth) for v in vectors],
-                               *[_scalar(v, depth) for v in scalars])
-
-
-_SCENE = _template({"scene_id": None, "class_map": None, "cameras": None,
-                    "frames": None}, 0)
+_POSE = {"center": [None] * 3, "size": [None] * 3, "yaw": None}
+_SCENE = _template(dict.fromkeys(("scene_id", "class_map", "cameras", "frames")), 0)
 _CAMERA = _template({"name": None,
-                     "intrinsics": dict.fromkeys(("fx", "fy", "cx", "cy", "width", "height")),
-                     "extrinsics": {"rotation": None, "translation": None}}, 2)
-_CUBOID = _Layout({"center": 3, "size": 3}, ("yaw",), 5)
-_BOX2D = _Layout({}, _BOX_KEYS, 6)
-_DETECTION = _Layout({"center": 3, "size": 3}, ("yaw", "score"), 5)
+                     "intrinsics": dict.fromkeys((*_INTRINSICS, "width", "height")),
+                     "extrinsics": {"rotation": [None] * 4, "translation": [None] * 3}}, 2)
+_CUBOID = _template(_POSE, 5)
+_BOX2D = _template(dict.fromkeys(_BOX_KEYS), 6)
+_DETECTION = _template({**_POSE, "score": None}, 5)
+# the numbers that fill a template, named as the parser names them
+_EXTRINSICS = ("rotation entry",) * 4 + ("translation entry",) * 3
+_POSE_NUMBERS = ("center entry",) * 3 + ("size entry",) * 3 + ("yaw", "score")
 
 
-def _camera_text(c: CameraModel) -> str:
+def _camera_text(c: CameraModel, ctx: str) -> str:
+    ctx = f"{ctx} camera {c.name!r}"
     return _CAMERA % (
-        _scalar(c.name, 3), _scalar(c.fx, 4), _scalar(c.fy, 4), _scalar(c.cx, 4),
-        _scalar(c.cy, 4), _scalar(c.width, 4), _scalar(c.height, 4),
-        _vector(c.rotation, 4), _vector(c.translation, 4))
+        _encode_str(c.name), *_numbers(ctx, _INTRINSICS, c.fx, c.fy, c.cx, c.cy),
+        _integer(c.width, "width", ctx), _integer(c.height, "height", ctx),
+        *_numbers(ctx, _EXTRINSICS, *_array(c.rotation, 4, "rotation", ctx),
+                  *_array(c.translation, 3, "translation", ctx)))
 
 
-def _annotation_text(a: Annotation) -> str:
-    pairs = ['"track_id": ' + _scalar(a.track_id, 5),
-             '"category": ' + _scalar(a.category, 5)]
+def _pose_text(b: Cuboid3D, ctx: str, *score: Any) -> str:
+    """A cuboid's text, or with a ``score`` a detection record's."""
+    return (_DETECTION if score else _CUBOID) % _numbers(
+        ctx, _POSE_NUMBERS, *_array(b.center, 3, "center", ctx),
+        *_array(b.size, 3, "size", ctx), b.yaw, *score)
+
+
+def _annotation_text(a: Annotation, ctx: str) -> str:
+    ctx = f"{ctx} annotation {a.track_id!r}"
+    pairs = ['"track_id": ' + _encode_str(a.track_id),
+             '"category": ' + _encode_str(a.category)]
     if a.cuboid is not None:
-        c = a.cuboid
-        pairs.append('"cuboid": ' + _CUBOID.text((c.center, c.size), (c.yaw,)))
+        pairs.append('"cuboid": ' + _pose_text(a.cuboid, ctx))
     if a.boxes2d:
-        pairs.append('"boxes2d": ' + _join([
-            _encode_str(cam) + ": " + _BOX2D.text((), (b.x0, b.y0, b.x1, b.y1))
+        pairs.append('"boxes2d": ' + _join([_encode_str(cam) + ": " + _BOX2D % _numbers(
+            f"{ctx} box in {cam!r}", _BOX_KEYS, b.x0, b.y0, b.x1, b.y1)
             for cam, b in a.boxes2d.items()], 5, "{}"))
     return _join(pairs, 4, "{}")
 
 
-def _detection_text(b: Box3D) -> str:
-    return _DETECTION.text((b.center, b.size), (b.yaw, b.score))
-
-
-def _frame_text(f: Frame) -> str:
-    pairs = ['"timestamp_ns": ' + _scalar(f.timestamp_ns, 3),
-             '"annotations": ' + _join(list(map(_annotation_text, f.annotations)), 3, "[]")]
+def _frame_text(f: Frame, ctx: str) -> str:
+    ctx = f"{ctx} frame {f.timestamp_ns}"
+    pairs = [f'"timestamp_ns": {f.timestamp_ns}', '"annotations": ' + _join(
+        [_annotation_text(a, ctx) for a in f.annotations], 3, "[]")]
     if f.detection_sets:
-        pairs.append('"detection_sets": ' + _join([
-            _encode_str(name) + ": " + _join(list(map(_detection_text, boxes)), 4, "[]")
+        pairs.append('"detection_sets": ' + _join([_encode_str(name) + ": " + _join([
+            _pose_text(b, f"{ctx} detection set {name!r}", b.score) for b in boxes], 4, "[]")
             for name, boxes in f.detection_sets.items()], 3, "{}"))
     return _join(pairs, 2, "{}")
 
@@ -679,11 +660,17 @@ def _frame_text(f: Frame) -> str:
 def scene_text(scene: Scene, class_map: Mapping[str, int]) -> str:
     """A scene file's text: ``json.dumps(doc, indent=1)`` of the document
     the schema describes, and a final newline (see the module docstring)."""
-    names = [name for name, _ in sorted(class_map.items(), key=lambda kv: kv[1])]
-    return _SCENE % (
-        _scalar(scene.scene_id, 1), _vector(names, 1),
-        _join(list(map(_camera_text, scene.cameras)), 1, "[]"),
-        _join(list(map(_frame_text, scene.frames)), 1, "[]")) + "\n"
+    ctx = f"scene {scene.scene_id!r}"
+    names = sorted(class_map, key=class_map.get)
+    try:
+        return _SCENE % (
+            _encode_str(scene.scene_id), _join(list(map(_encode_str, names)), 1, "[]"),
+            _join([_camera_text(c, ctx) for c in scene.cameras], 1, "[]"),
+            _join([_frame_text(f, ctx) for f in scene.frames], 1, "[]")) + "\n"
+    except ParseError as exc:
+        # the parser's readers reject a value's JSON type; in a record built
+        # in memory, that is a value the schema cannot hold
+        raise ValidationError(str(exc)) from None
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> list[Path]:
@@ -691,6 +678,10 @@ def write_dataset(dataset: Dataset, path: str | Path) -> list[Path]:
 
     A path ending in ``.json`` (single-scene datasets only) writes one file;
     otherwise ``path`` is created as a directory with one file per scene.
+    Each file holds exactly ``json.dumps(doc, indent=1)`` and a newline. A
+    value the parser would reject, or a number it would read back as
+    another type or number, raises ``ValidationError`` before any file is
+    written.
 
     Returns:
         The written file paths, in scene order.
@@ -741,7 +732,7 @@ def write_files(root: str | os.PathLike, files: Mapping[str, str]) -> None:
 
 
 # --------------------------------------------------------------------------
-# label emission
+# label sources
 
 
 def resolve_box(annotation: Annotation, cam: CameraModel, source: str
@@ -762,6 +753,10 @@ def resolve_box(annotation: Annotation, cam: CameraModel, source: str
             return None
         return project_cuboid(annotation.cuboid, cam)
     raise ValueError(f"unknown label source {source!r}, expected one of {LABEL_SOURCES}")
+
+
+# --------------------------------------------------------------------------
+# label emission
 
 
 def emit_labels(dataset: Dataset, kept: Mapping[tuple[str, int, str, str], Box2D]

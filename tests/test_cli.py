@@ -1021,16 +1021,22 @@ DATASET_DEFAULTS = [("overlap_mode", "calibration"), ("label_source", "native-2d
     ("mm", [], "mm_report.json",
      [("theta", 0.5), ("t_dist", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]),
       ("rr_split", "median"), ("base_set", "fusion_baseline"),
-      ("lidar_set", "lidar_only")]),
+      ("lidar_set", "lidar_only"), ("emit_plot_data", False)]),
     ("mm", ["--theta", "0.3", "--t-dist", "12,0", "--rr-split", "0.5",
-            "--base-set", "lidar_only", "--lidar-set", "fusion_baseline"],
+            "--base-set", "lidar_only", "--lidar-set", "fusion_baseline",
+            "--emit-plot-data"],
      "mm_report.json",
      [("theta", 0.3), ("t_dist", [12.0, 0.0]), ("rr_split", "0.5"),
-      ("base_set", "lidar_only"), ("lidar_set", "fusion_baseline")]),
-    # thresholds keep the order given
+      ("base_set", "lidar_only"), ("lidar_set", "fusion_baseline"),
+      ("emit_plot_data", True)]),
+    # thresholds keep the order given; the report says whether the .xy
+    # files beside it are its own
     ("sweep", ["--taus", "0.3,0.1", "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=0.1"],
      "sweep_report.json",
-     [("taus", [0.3, 0.1]), ("pair_taus", {"CAM_FRONT:CAM_FRONT_RIGHT": 0.1})]),
+     [("taus", [0.3, 0.1]), ("pair_taus", {"CAM_FRONT:CAM_FRONT_RIGHT": 0.1}),
+      ("emit_plot_data", False)]),
+    ("sweep", ["--taus", "0.2", "--emit-plot-data"], "sweep_report.json",
+     [("taus", [0.2]), ("pair_taus", {}), ("emit_plot_data", True)]),
 ])
 def test_reports_echo_their_config(ring_dataset, tmp_path, command, args,
                                    report, want):

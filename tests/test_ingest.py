@@ -462,15 +462,16 @@ def test_round_trip_is_byte_stable(tmp_path):
     assert first == second
 
 
-# a float subclass, which json writes by float's repr
+# a float subclass, which json writes by float's repr and the parser reads
+# back as a float
 class Meters(float):
     pass
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 # what a float field of an in-memory record may hold: mostly finite
-# floats, which the writer's fast path takes, and every other number json
-# writes its own way
+# floats, and every other number json writes, which the writer refuses
+# unless the parser reads it back as itself
 reals = st.one_of(finite_floats, finite_floats, st.floats(), st.integers(-10**30, 10**30),
                   st.booleans(), st.floats().map(Meters))
 # values that records check to be positive, or within [0, 1], let through
@@ -496,46 +497,64 @@ def vectors(values, floats=finite_floats):
             | st.lists(floats, max_size=5).map(tuple))
 
 
+# the numbers an in-memory record may hold: any the records let through, or
+# only those the parser reads back as themselves (finite floats, integers
+# that a float holds exactly, vectors of the schema's length)
+ANY_NUMBERS = {
+    "real": reals, "positive": positive, "score": scores, "vector": vectors,
+    "width": st.integers(1, 4000) | positive,
+    # center vectors may also hold arrays, which json lays out over lines
+    "center": reals | st.lists(finite_floats, max_size=2),
+    "rotations": [(1.0, 0.0, 0.0, 0.0), (0.5, -0.5, 0.5, -0.5), (True, 0, 0, 0),
+                  (Meters(1.0), 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0)]}
+exact = finite_floats | st.integers(-2**53, 2**53)
+READABLE_NUMBERS = {
+    "real": exact, "positive": sizes | st.integers(1, 2**53),
+    "score": st.floats(0.0, 1.0) | st.integers(0, 1), "width": st.integers(1, 10**30),
+    "vector": lambda values, floats=None: st.tuples(values, values, values),
+    "center": exact,
+    "rotations": [(1.0, 0.0, 0.0, 0.0), (0.5, -0.5, 0.5, -0.5), (1, 0, 0, 0)]}
+
+
 @st.composite
-def native_boxes(draw):
+def native_boxes(draw, real):
     corners = []
     for _ in range(2):
-        low, high = draw(reals), draw(reals)
+        low, high = draw(real), draw(real)
         corners.append((high, low) if high < low else (low, high))
     (x0, x1), (y0, y1) = corners
     assume(not (x1 - x0) * (y1 - y0) <= 0)
     return Box2D(x0, y0, x1, y1)
 
 
-def cuboids(kind, *scores):
-    # center vectors may also hold arrays, which json lays out over lines
-    return st.builds(kind, vectors(reals | st.lists(finite_floats, max_size=2)),
-                     vectors(positive, sizes), reals, *scores)
+def cuboids(kind, numbers, *scores):
+    return st.builds(kind, numbers["vector"](numbers["center"]),
+                     numbers["vector"](numbers["positive"], sizes), numbers["real"], *scores)
 
 
 @st.composite
-def in_memory_datasets(draw):
-    """One scene whose records hold any value they accept, with its class
-    map."""
+def in_memory_datasets(draw, numbers=ANY_NUMBERS):
+    """One scene whose records hold any value they accept of ``numbers``,
+    with its class map."""
+    real, positive = numbers["real"], numbers["positive"]
     categories = draw(st.lists(st.text(escaped, max_size=4), min_size=1, max_size=3,
                                unique=True))
     ids = draw(st.permutations(range(len(categories))))
     cameras = tuple(
-        CameraModel(name, draw(positive), draw(positive), draw(reals), draw(reals),
-                    draw(st.integers(1, 4000) | positive), draw(st.integers(1, 4000)),
-                    draw(st.sampled_from([(1.0, 0.0, 0.0, 0.0), (0.5, -0.5, 0.5, -0.5),
-                                          (True, 0, 0, 0), (Meters(1.0), 0.0, 0.0, 0.0),
-                                          (math.nan, 0.0, 0.0, 0.0)])),
-                    draw(vectors(reals)))
+        CameraModel(name, draw(positive), draw(positive), draw(real), draw(real),
+                    draw(numbers["width"]), draw(st.integers(1, 4000)),
+                    draw(st.sampled_from(numbers["rotations"])),
+                    draw(numbers["vector"](real)))
         for name in draw(st.lists(names, max_size=3, unique=True)))
-    detections = cuboids(Box3D, scores)
+    detections = cuboids(Box3D, numbers, numbers["score"])
     frames = []
     for ts in sorted(draw(st.sets(st.integers(0, 10**18), min_size=1, max_size=3))):
         annotations = []
         for track_id in draw(st.sets(st.text(escaped, max_size=5), max_size=3)):
-            boxes = {cam.name: draw(native_boxes()) for cam in cameras
+            boxes = {cam.name: draw(native_boxes(real)) for cam in cameras
                      if draw(st.booleans())}
-            cuboid = draw(st.none() | cuboids(Cuboid3D)) if boxes else draw(cuboids(Cuboid3D))
+            cuboid = draw((st.none() | cuboids(Cuboid3D, numbers)) if boxes
+                          else cuboids(Cuboid3D, numbers))
             annotations.append(Annotation(track_id, draw(st.sampled_from(categories)),
                                           cuboid, boxes))
         sets = draw(st.dictionaries(
@@ -546,34 +565,153 @@ def in_memory_datasets(draw):
     return Dataset((scene,), dict(zip(categories, ids)))
 
 
+def leaves(doc):
+    """Every value inside ``doc`` that is not an object or an array."""
+    if isinstance(doc, (dict, list)):
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            yield from leaves(value)
+    else:
+        yield doc
+
+
+def reads_back_as_written(ds, path):
+    """Whether every value of ``ds``'s one scene is a ``str``, ``int`` or
+    ``float`` (not a subclass, which json writes as its base type), and
+    ``parse_dataset`` reads the reference text back as the numbers it
+    holds: not rejected, and no integer read back as another number.
+    Strings are compared as json reads them, which joins a surrogate pair
+    held as two code points into one character."""
+    scene = ds.scenes[0]
+    doc = scene_to_dict(scene, ds.class_map)
+    if not all(type(v) in (str, int, float) for v in leaves(doc)):
+        return False
+    text = reference_scene_text(scene, ds.class_map)
+    path.write_text(text, encoding="utf-8")
+    try:
+        parsed = parse_dataset(path)
+    except (ParseError, ValidationError):
+        return False
+    return scene_to_dict(parsed.scenes[0], parsed.class_map) == json.loads(text)
+
+
 @settings(max_examples=150, deadline=None)
-@given(in_memory_datasets())
-def test_scene_text_is_the_json_reference(ds):
+@given(ds=in_memory_datasets())
+def test_scene_text_is_the_json_reference(tmp_path_factory, ds):
+    # the writer has one path: a dataset that reads back as written is
+    # written as json.dumps writes it, and any other is refused
+    path = tmp_path_factory.getbasetemp() / "scene_text_reference.json"
+    scene = ds.scenes[0]
+    try:
+        text = scene_text(scene, ds.class_map)
+    except ValidationError:
+        assert not reads_back_as_written(ds, path)
+    else:
+        assert text == reference_scene_text(scene, ds.class_map)
+        assert reads_back_as_written(ds, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=in_memory_datasets(READABLE_NUMBERS))
+def test_scene_text_writes_every_dataset_that_reads_back(tmp_path_factory, ds):
+    # most datasets of any numbers hold one the writer refuses; these hold
+    # none, so each is written, cameras and native boxes included
+    path = tmp_path_factory.getbasetemp() / "scene_text_readable.json"
     scene = ds.scenes[0]
     assert scene_text(scene, ds.class_map) == reference_scene_text(scene, ds.class_map)
+    assert reads_back_as_written(ds, path)
 
 
 def test_scene_text_splits_each_vector_by_its_own_length():
-    # six floats split 2 + 4 fill as many slots as the usual 3 + 3
+    # six floats split 2 + 4 fill as many slots as the usual 3 + 3; the
+    # general path wrote them, and the parser rejected the file
     ds, _ = generate_scene(SynthParams(seed=4, n_objects=1))
     frame = ds.scenes[0].frames[0]
     box = frame.detection_sets["fusion_baseline"][0]
     odd = dataclasses.replace(box, center=box.center[:2], size=(box.center[2], *box.size))
     frame = dataclasses.replace(frame, detection_sets={"fusion_baseline": (odd,)})
     scene = dataclasses.replace(ds.scenes[0], frames=(frame,))
-    assert scene_text(scene, ds.class_map) == reference_scene_text(scene, ds.class_map)
+    with pytest.raises(ValidationError, match=re.escape(
+            "frame 0 detection set 'fusion_baseline': center must be an array of 3 "
+            "numbers")):
+        scene_text(scene, ds.class_map)
 
 
-@pytest.mark.parametrize("value", [object(), 1 + 2j, {1.0}])
-def test_scene_text_rejects_what_json_rejects(value):
+def scene_with_yaw(value):
+    """A synth scene whose first frame holds one annotation, its cuboid's
+    yaw ``value``, and its class map."""
     ds, _ = generate_scene(SynthParams(seed=4, n_objects=3))
     ann = ds.scenes[0].frames[0].annotations[0]
     odd = dataclasses.replace(ann, cuboid=dataclasses.replace(ann.cuboid, yaw=value))
     frame = dataclasses.replace(ds.scenes[0].frames[0], annotations=(odd,))
-    scene = dataclasses.replace(ds.scenes[0], frames=(frame,))
-    for text in (scene_text, reference_scene_text):
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            text(scene, ds.class_map)
+    return dataclasses.replace(ds.scenes[0], frames=(frame,)), ds.class_map
+
+
+@pytest.mark.parametrize("value", [object(), 1 + 2j, {1.0}])
+def test_scene_text_rejects_what_json_rejects(value):
+    scene, class_map = scene_with_yaw(value)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        reference_scene_text(scene, class_map)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"annotation 't00000o0000': yaw must be a number, got {type(value).__name__}")):
+        scene_text(scene, class_map)
+
+
+@pytest.mark.parametrize("value,message", [
+    (math.nan, "yaw must be finite, got nan"),
+    (-math.inf, "yaw must be finite, got -inf"),
+    (True, "yaw must be a number, got a boolean"),
+    (Meters(0.5), "yaw must be a number, got Meters"),
+    ([0.5], "yaw must be a number, got an array"),
+    (None, "yaw must be a number, got null"),
+    (HUGE, "yaw is an integer too large for a float"),
+    # json writes it, and the parser reads back 1e+20
+    (10**20 + 1, "yaw is an integer that no float holds exactly, got 100000000000000000001"),
+], ids=["nan", "-inf", "bool", "float-subclass", "array", "none", "huge-int", "inexact-int"])
+def test_scene_text_refuses_what_the_parser_would_not_read_back(tmp_path, value, message):
+    # the general path wrote each of these, as NaN, true, 0.5, [0.5], null
+    # or the integer's digits: a file the parser rejects or reads back as
+    # another type or number
+    scene, class_map = scene_with_yaw(value)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"scene {scene.scene_id!r} frame 0 annotation 't00000o0000': {message}")):
+        write_dataset(Dataset((scene,), class_map), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("rotation", (1.0, 0.0, 0.0), "rotation must be an array of 4 numbers"),
+    ("translation", 5.0, "translation must be an array of 3 numbers, got 5.0"),
+    ("translation", (1.0, "2", 0.5), "translation entry must be a number, got a string"),
+    ("cx", math.inf, "cx must be finite, got inf"),
+    ("width", 1600.0, "width must be an integer, got 1600.0"),
+])
+def test_scene_text_names_the_camera_and_field_it_refuses(field, value, message):
+    ds, _ = generate_scene(SynthParams(seed=4, n_objects=1))
+    scene = ds.scenes[0]
+    cam = scene.cameras[1]
+    if field == "rotation":
+        # CameraModel itself unpacks four rotation entries, so the record is
+        # bent after it is built
+        cam = dataclasses.replace(cam)
+        object.__setattr__(cam, field, value)
+    else:
+        cam = dataclasses.replace(cam, **{field: value})
+    scene = dataclasses.replace(scene, cameras=(scene.cameras[0], cam, *scene.cameras[2:]))
+    with pytest.raises(ValidationError, match=re.escape(f"camera {cam.name!r}: {message}")):
+        scene_text(scene, ds.class_map)
+
+
+def test_writing_a_synth_scene_never_calls_json_dumps(monkeypatch):
+    # the templates are built at import; a fallback to json for values the
+    # templates cannot take would call it again
+    ds, _ = generate_scene(SynthParams(seed=4, n_objects=3, detection_noise=0.1))
+    expected = reference_scene_text(ds.scenes[0], ds.class_map)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called while writing a scene")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert scene_text(ds.scenes[0], ds.class_map) == expected
 
 
 # ------------------------------------------------------------ label output
@@ -818,6 +956,17 @@ def test_dataset_rejects_class_ids_other_than_0_to_n_minus_1(tmp_path, class_map
     ds = dataset_of(scene, class_map={"truck": 1, "car": 0})
     write_dataset(ds, tmp_path)
     assert parse_dataset(tmp_path).class_map == ds.class_map
+
+
+@pytest.mark.parametrize("name", [7, None, b"truck"])
+def test_dataset_rejects_class_map_keys_that_are_not_strings(name):
+    # such a map was written as a name list that parse_dataset rejected
+    # ("class_map must be a list of category names")
+    scene = scene_with_boxes(two_overlapping_cameras(), [{"t": {"CAM_FRONT": BOX}}])
+    class_map = {"car": 0, name: 1}
+    with pytest.raises(ValidationError, match=re.escape(
+            f"class map keys must be strings, got {class_map!r}")):
+        dataset_of(scene, class_map=class_map)
 
 
 @pytest.mark.parametrize("timestamp", [True, 0.5, "7"])

@@ -41,7 +41,7 @@ def demo():
           f"tracks intact at {report['tracks']}")
 
     run("sweep", "--dataset", data, "--out", root / "sweep",
-        "--taus", "0.1,0.2,0.3,0.4,0.5,0.6", "--emit-plot-data")
+        "--taus", "0.1,0.2,0.3,0.4,0.5,0.6")
     print("  " + (root / "sweep" / "sweep.csv").read_text().strip().replace("\n", "\n  "))
 
     run("mm", "--dataset", data, "--out", root / "mm", "--t-dist", "0,5,10,20")

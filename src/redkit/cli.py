@@ -42,21 +42,18 @@ from .synth import SynthParams, generate_scene, nuscenes_like_cameras
 OUTPUT_DIR_ENV = "REDKIT_OUTPUT_DIR"
 
 
-def _echo(args: argparse.Namespace, **fields) -> dict:
-    """Analysis parameters for report embedding (paths excluded): the
-    settings every command shares, then the command's own ``fields``."""
-    return {
-        "command": args.command,
-        "overlap_mode": args.overlap_mode,
-        "label_source": args.label_source,
-        "min_overlap": args.min_overlap,
-        **fields,
-    }
-
-
-def _pair_taus(args: argparse.Namespace) -> dict[str, float]:
-    """``--pair-tau`` as reports echo it: sorted, the last value wins."""
-    return {f"{a}:{b}": v for (a, b), v in sorted(dict(args.pair_tau).items())}
+def _echo(args: argparse.Namespace) -> dict:
+    """A report's ``config``: the command, then every option it parsed, in
+    parser order, except the paths; ``--pair-tau`` as ``pair_taus``, sorted,
+    the last value winning."""
+    config = {}
+    for name, value in vars(args).items():
+        if name == "pair_tau":
+            config["pair_taus"] = {f"{a}:{b}": v
+                                   for (a, b), v in sorted(dict(value).items())}
+        elif name not in ("dataset", "out", "images"):
+            config[name] = value
+    return config
 
 
 def _build_graphs(dataset: Dataset, args: argparse.Namespace
@@ -66,12 +63,10 @@ def _build_graphs(dataset: Dataset, args: argparse.Namespace
         check_threshold(args.min_overlap, "min_overlap")
         g = preset_nuscenes()
         return {s.scene_id: g for s in dataset.scenes}
-    if args.overlap_mode == "calibration":
-        return {
-            s.scene_id: build_overlap_graph(s.cameras, args.min_overlap)
-            for s in dataset.scenes
-        }
-    raise ValidationError(f"unknown overlap mode {args.overlap_mode!r}")
+    return {
+        s.scene_id: build_overlap_graph(s.cameras, args.min_overlap)
+        for s in dataset.scenes
+    }
 
 
 def _json(doc: dict) -> str:
@@ -125,7 +120,7 @@ def cmd_prune(args: argparse.Namespace) -> dict[str, str]:
         dataset, graphs, args.tau, args.label_source, dict(args.pair_tau))
     files = {f"labels/{name}": text for name, text in emit_labels(dataset, kept).items()}
     report = {
-        "config": _echo(args, tau=args.tau, pair_taus=_pair_taus(args)),
+        "config": _echo(args),
         "tau": row.tau,
         "deleted": row.deleted,
         "remaining": row.remaining,
@@ -146,16 +141,12 @@ def cmd_sweep(args: argparse.Namespace) -> dict[str, str]:
     lines += [
         f"{r.tau:.6f},{r.deleted},{r.remaining},{r.tracks}" for r in rows
     ]
-    files = {"sweep.csv": "\n".join(lines) + "\n"}
-    if args.emit_plot_data:
-        files["sweep_deleted.xy"] = "".join(
-            f"{r.tau:.6f} {r.deleted}\n" for r in rows)
-        files["sweep_remaining.xy"] = "".join(
-            f"{r.tau:.6f} {r.remaining}\n" for r in rows)
-    files["sweep_report.json"] = _json({
-        "config": _echo(args, taus=list(args.taus), pair_taus=_pair_taus(args),
-                        emit_plot_data=args.emit_plot_data)})
-    return files
+    return {
+        "sweep.csv": "\n".join(lines) + "\n",
+        "sweep_deleted.xy": "".join(f"{r.tau:.6f} {r.deleted}\n" for r in rows),
+        "sweep_remaining.xy": "".join(f"{r.tau:.6f} {r.remaining}\n" for r in rows),
+        "sweep_report.json": _json({"config": _echo(args)}),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -204,23 +195,20 @@ def cmd_mm(args: argparse.Namespace) -> dict[str, str]:
 
     csv_lines = ["t_dist,pruned_count,lost_ratio"]
     csv_lines += [f"{r.t_dist:.6f},{r.pruned_count},{r.lost_ratio:.6f}" for r in rows]
-    files = {"mm_sweep.csv": "\n".join(csv_lines) + "\n"}
-    if args.emit_plot_data:
-        files["mm_lost_ratio.xy"] = "".join(
-            f"{r.t_dist:.6f} {r.lost_ratio:.6f}\n" for r in rows)
-    files["mm_ttest.txt"] = _ttest_text(ttest)
     report = {
-        "config": _echo(args, theta=args.theta, t_dist=list(args.t_dist),
-                        rr_split=args.rr_split, base_set=args.base_set,
-                        lidar_set=args.lidar_set, emit_plot_data=args.emit_plot_data),
+        "config": _echo(args),
         "frames_used": len(frames),
         "frames_skipped": skipped,
         "rr_mean": sum(f["rr"] for f in per_frame) / len(per_frame),
         "per_frame_rr": per_frame,
         "t_test": ttest,
     }
-    files["mm_report.json"] = _json(report)
-    return files
+    return {
+        "mm_sweep.csv": "\n".join(csv_lines) + "\n",
+        "mm_lost_ratio.xy": "".join(f"{r.t_dist:.6f} {r.lost_ratio:.6f}\n" for r in rows),
+        "mm_ttest.txt": _ttest_text(ttest),
+        "mm_report.json": _json(report),
+    }
 
 
 def _rr_split(text: str) -> float | None:
@@ -310,23 +298,22 @@ def _add_pair_tau(sub: argparse.ArgumentParser, help: str | None = None) -> None
                      metavar="CAM_A:CAM_B=TAU", help=help)
 
 
-def _add_dataset_args(sub: argparse.ArgumentParser, with_source: bool = True) -> None:
+def _add_dataset_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", required=True,
                      help="scene file or directory of scene files")
     sub.add_argument("--out", help=f"output directory (or set {OUTPUT_DIR_ENV})")
-    # also the values a command without these options echoes in its report
-    sub.set_defaults(overlap_mode="calibration", label_source="native-2d",
-                     min_overlap=1.0)
-    if with_source:
-        sub.add_argument("--overlap-mode",
-                         choices=("calibration", "preset-nuscenes"),
-                         help="derive pairs from calibration or use the fixed "
-                              "six-camera preset")
-        sub.add_argument("--label-source",
-                         choices=LABEL_SOURCES,
-                         help="which 2D boxes feed grouping and emission")
-        sub.add_argument("--min-overlap", type=float,
-                         help="degrees below which a camera pair is not an edge")
+
+
+def _add_source_args(sub: argparse.ArgumentParser) -> None:
+    _add_dataset_args(sub)
+    sub.add_argument("--overlap-mode", default="calibration",
+                     choices=("calibration", "preset-nuscenes"),
+                     help="derive pairs from calibration or use the fixed "
+                          "six-camera preset")
+    sub.add_argument("--label-source", default="native-2d", choices=LABEL_SOURCES,
+                     help="which 2D boxes feed grouping and emission")
+    sub.add_argument("--min-overlap", type=float, default=1.0,
+                     help="degrees below which a camera pair is not an edge")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,28 +325,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_audit = sub.add_parser("audit", help="inventory overlaps, groups and scores")
-    _add_dataset_args(p_audit)
+    _add_source_args(p_audit)
     p_audit.add_argument("--images",
                          help="image root laid out as <scene_id>/<timestamp_ns>/"
                               "<camera>.pgm; enables the similarity prescreen")
 
     p_prune = sub.add_parser("prune", help="delete low-completeness duplicates")
-    _add_dataset_args(p_prune)
+    _add_source_args(p_prune)
     p_prune.add_argument("--tau", type=float, required=True,
                          help="completeness gap above which a duplicate is deleted")
     _add_pair_tau(p_prune, "per-pair override; the smallest threshold on any "
                            "edge inside a group wins")
 
     p_sweep = sub.add_parser("sweep", help="prune counts across thresholds")
-    _add_dataset_args(p_sweep)
+    _add_source_args(p_sweep)
     p_sweep.add_argument("--taus", type=_float_list, required=True,
                          help="comma-separated thresholds")
     _add_pair_tau(p_sweep)
-    p_sweep.add_argument("--emit-plot-data", action="store_true",
-                         help="also write x/y series files")
 
     p_mm = sub.add_parser("mm", help="camera-LiDAR redundancy and distance sweep")
-    _add_dataset_args(p_mm, with_source=False)
+    _add_dataset_args(p_mm)
     p_mm.add_argument("--theta", type=float, default=0.5,
                       help="3D IoU at or above which boxes match")
     p_mm.add_argument("--t-dist", type=_float_list,
@@ -371,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="detection set treated as the baseline")
     p_mm.add_argument("--lidar-set", default="lidar_only",
                       help="detection set subjected to distance pruning")
-    p_mm.add_argument("--emit-plot-data", action="store_true")
 
     p_sim = sub.add_parser("sim", help="write a seeded synthetic scene")
     p_sim.add_argument("--out", help=f"output directory (or set {OUTPUT_DIR_ENV})")

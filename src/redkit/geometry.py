@@ -71,7 +71,8 @@ def check_threshold(value: float, name: str) -> None:
 
 @dataclass(frozen=True)
 class Box2D:
-    """Axis-aligned pixel box.
+    """Axis-aligned pixel box with ``x0 <= x1`` and ``y0 <= y1``, which a
+    NaN coordinate fails.
 
     A full (unclipped) box must have positive area; a box produced by
     :meth:`clip` may be degenerate (zero width or height) when the original
@@ -84,8 +85,9 @@ class Box2D:
     y1: float
 
     def __post_init__(self) -> None:
-        if self.x1 < self.x0 or self.y1 < self.y0:
-            raise ValueError(f"inverted box: ({self.x0}, {self.y0}, {self.x1}, {self.y1})")
+        if not (self.x0 <= self.x1 and self.y0 <= self.y1):
+            raise ValueError(f"inverted or NaN box: ({self.x0}, {self.y0}, {self.x1}, "
+                             f"{self.y1})")
 
     @property
     def area(self) -> float:

@@ -39,7 +39,8 @@ kind (:func:`scene_text`) rather than through ``json``, whose encoder runs
 in pure Python whenever ``indent`` is set. It refuses with
 ``ValidationError`` any value the parser would reject and any number the
 parser would read back as another type or number (NaN, a bool, a float
-subclass, a vector of another length, ...).
+subclass, a vector of another length, ...) or as another string (a
+surrogate pair held as two code points, which ``json`` joins into one).
 :func:`redkit.synth.reference_scene_text` builds the document and calls
 ``json.dumps``, and is what the tests compare the writer with.
 
@@ -53,6 +54,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -115,16 +117,7 @@ def _label_file_name(scene_id: str, ts: int, camera: str) -> str:
 def _check_label_file_names(scene_id: str, frames: Sequence[Frame],
                             cameras: Sequence[str]) -> None:
     """Reject a scene with a label file name over the byte limit of common
-    file systems. Timestamps increase, so the first or the last has the most
-    characters, and the longest name bounds the others; only a scene that
-    exceeds it is searched for the first name too long."""
-    if not cameras:
-        return
-    digits = max(len(str(frames[0].timestamp_ns)), len(str(frames[-1].timestamp_ns)))
-    longest = (len(scene_id.encode()) + digits + max(len(c.encode()) for c in cameras)
-               + len("____.txt"))
-    if longest <= _MAX_NAME_BYTES:
-        return
+    file systems, naming the first name too long."""
     for frame in frames:
         for camera in cameras:
             size = len(_label_file_name(scene_id, frame.timestamp_ns, camera).encode())
@@ -570,6 +563,7 @@ def parse_dataset(path: str | Path, *,
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 # _NL[d] starts a line indented to nesting depth d, _SEP[d] also ends the
 # item before it
 _NL = tuple("\n" + " " * d for d in range(8))
@@ -617,6 +611,16 @@ _EXTRINSICS = ("rotation entry",) * 4 + ("translation entry",) * 3
 _POSE_NUMBERS = ("center entry",) * 3 + ("size entry",) * 3 + ("yaw", "score")
 
 
+def _string(value: str, ctx: str, name: str) -> str:
+    """``value`` encoded as ``json`` writes it, unless it holds a high
+    surrogate followed by a low one: written as two escapes, ``json`` reads
+    those back as one character."""
+    if not value.isascii() and _SURROGATE_PAIR.search(value):
+        raise ValidationError(f"{ctx}: {name} holds a surrogate pair as two code "
+                              f"points, which reads back as one, got {value!r}")
+    return _encode_str(value)
+
+
 def _camera_text(c: CameraModel, ctx: str) -> str:
     ctx = f"{ctx} camera {c.name!r}"
     return _CAMERA % (
@@ -635,7 +639,7 @@ def _pose_text(b: Cuboid3D, ctx: str, *score: Any) -> str:
 
 def _annotation_text(a: Annotation, ctx: str) -> str:
     ctx = f"{ctx} annotation {a.track_id!r}"
-    pairs = ['"track_id": ' + _encode_str(a.track_id),
+    pairs = ['"track_id": ' + _string(a.track_id, ctx, "track_id"),
              '"category": ' + _encode_str(a.category)]
     if a.cuboid is not None:
         pairs.append('"cuboid": ' + _pose_text(a.cuboid, ctx))
@@ -651,8 +655,10 @@ def _frame_text(f: Frame, ctx: str) -> str:
     pairs = [f'"timestamp_ns": {f.timestamp_ns}', '"annotations": ' + _join(
         [_annotation_text(a, ctx) for a in f.annotations], 3, "[]")]
     if f.detection_sets:
-        pairs.append('"detection_sets": ' + _join([_encode_str(name) + ": " + _join([
-            _pose_text(b, f"{ctx} detection set {name!r}", b.score) for b in boxes], 4, "[]")
+        pairs.append('"detection_sets": ' + _join([
+            _string(name, ctx, "detection set name") + ": " + _join(
+                [_pose_text(b, f"{ctx} detection set {name!r}", b.score) for b in boxes],
+                4, "[]")
             for name, boxes in f.detection_sets.items()], 3, "{}"))
     return _join(pairs, 2, "{}")
 
@@ -664,7 +670,8 @@ def scene_text(scene: Scene, class_map: Mapping[str, int]) -> str:
     names = sorted(class_map, key=class_map.get)
     try:
         return _SCENE % (
-            _encode_str(scene.scene_id), _join(list(map(_encode_str, names)), 1, "[]"),
+            _encode_str(scene.scene_id),
+            _join([_string(name, ctx, "class map name") for name in names], 1, "[]"),
             _join([_camera_text(c, ctx) for c in scene.cameras], 1, "[]"),
             _join([_frame_text(f, ctx) for f in scene.frames], 1, "[]")) + "\n"
     except ParseError as exc:
@@ -679,9 +686,9 @@ def write_dataset(dataset: Dataset, path: str | Path) -> list[Path]:
     A path ending in ``.json`` (single-scene datasets only) writes one file;
     otherwise ``path`` is created as a directory with one file per scene.
     Each file holds exactly ``json.dumps(doc, indent=1)`` and a newline. A
-    value the parser would reject, or a number it would read back as
-    another type or number, raises ``ValidationError`` before any file is
-    written.
+    value the parser would reject, or a number or string it would read back
+    as another type, number or string, raises ``ValidationError`` before any
+    file is written.
 
     Returns:
         The written file paths, in scene order.

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, report files, exit codes, determinism."""
 
+import argparse
 import ast
 import contextlib
 import copy
@@ -515,13 +516,11 @@ RERUNS = {
               {"first": lambda s: label_name(s, 0, 0),
                "middle": lambda s: label_name(s, len(s.frames) // 2, 1),
                "report": lambda s: "prune_report.json"}),
-    "sweep": (["--taus", "0.3", "--emit-plot-data"],
-              ["--taus", "0.1,0.2", "--emit-plot-data"],
+    "sweep": (["--taus", "0.3"], ["--taus", "0.1,0.2"],
               {"first": lambda s: "sweep.csv",
                "middle": lambda s: "sweep_deleted.xy",
                "report": lambda s: "sweep_report.json"}),
-    "mm": (["--theta", "0.5", "--emit-plot-data"],
-           ["--theta", "0.2", "--t-dist", "0,1,2", "--emit-plot-data"],
+    "mm": (["--theta", "0.5"], ["--theta", "0.2", "--t-dist", "0,1,2"],
            {"first": lambda s: "mm_sweep.csv",
             "middle": lambda s: "mm_ttest.txt",
             "report": lambda s: "mm_report.json"}),
@@ -593,12 +592,18 @@ def test_sweep_is_byte_deterministic(ring_dataset, tmp_path):
 
 
 def test_sweep_plot_data_files(ring_dataset, tmp_path):
+    # every sweep writes its plot series: columns of its table, no option
+    # asked for
     data_dir, _ = ring_dataset
     out = tmp_path / "sweep"
     assert run_cli("sweep", "--dataset", data_dir, "--out", out,
-                   "--taus", "0.2,0.4", "--emit-plot-data") == 0
-    xy = list(out.glob("*.xy"))
-    assert xy, "plot data requested but no .xy files written"
+                   "--taus", "0.2,0.4") == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert (out / "sweep_deleted.xy").read_text() == "".join(
+        f"{tau} {deleted}\n" for tau, deleted, _, _ in rows)
+    assert (out / "sweep_remaining.xy").read_text() == "".join(
+        f"{tau} {remaining}\n" for tau, _, remaining, _ in rows)
 
 
 # ------------------------------------------------------------------------ mm
@@ -659,6 +664,11 @@ def test_mm_report_and_determinism(ring_dataset, tmp_path):
         assert report["config"]["theta"] == 0.5
         assert len(report["per_frame_rr"]) == 4
     assert payloads[0] == payloads[1]
+    # the plot series is the table's first and last column
+    rows = [line.split(",") for line in (out / "mm_sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    assert (out / "mm_lost_ratio.xy").read_text() == "".join(
+        f"{t_dist} {lost}\n" for t_dist, _, lost in rows)
 
 
 def test_mm_missing_detection_sets_fail(tmp_path, capsys):
@@ -1006,51 +1016,74 @@ DATASET_DEFAULTS = [("overlap_mode", "calibration"), ("label_source", "native-2d
 
 
 @pytest.mark.parametrize("command,args,report,want", [
-    ("audit", [], "audit.json", []),
+    ("audit", [], "audit.json", DATASET_DEFAULTS),
     ("audit", ["--overlap-mode", "preset-nuscenes", "--label-source",
-               "projected-3d", "--min-overlap", "2"], "audit.json", "custom"),
+               "projected-3d", "--min-overlap", "2"], "audit.json",
+     [("overlap_mode", "preset-nuscenes"), ("label_source", "projected-3d"),
+      ("min_overlap", 2.0)]),
     ("prune", ["--tau", "0.3"], "prune_report.json",
-     [("tau", 0.3), ("pair_taus", {})]),
+     [*DATASET_DEFAULTS, ("tau", 0.3), ("pair_taus", {})]),
     # pairs come back sorted, and a repeated pair keeps its last value
     ("prune", ["--tau", "0.7", "--pair-tau", "CAM_FRONT_RIGHT:CAM_FRONT=0.2",
                "--pair-tau", "CAM_BACK:CAM_BACK_LEFT=0.9",
                "--pair-tau", "CAM_BACK:CAM_BACK_LEFT=0.4"], "prune_report.json",
-     [("tau", 0.7), ("pair_taus", {"CAM_BACK:CAM_BACK_LEFT": 0.4,
+     [*DATASET_DEFAULTS, ("tau", 0.7), ("pair_taus", {"CAM_BACK:CAM_BACK_LEFT": 0.4,
                                    "CAM_FRONT_RIGHT:CAM_FRONT": 0.2})]),
-    # mm parses no overlap options but echoes their defaults
+    # mm has no overlap options, so it echoes none
     ("mm", [], "mm_report.json",
      [("theta", 0.5), ("t_dist", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]),
       ("rr_split", "median"), ("base_set", "fusion_baseline"),
-      ("lidar_set", "lidar_only"), ("emit_plot_data", False)]),
+      ("lidar_set", "lidar_only")]),
     ("mm", ["--theta", "0.3", "--t-dist", "12,0", "--rr-split", "0.5",
-            "--base-set", "lidar_only", "--lidar-set", "fusion_baseline",
-            "--emit-plot-data"],
+            "--base-set", "lidar_only", "--lidar-set", "fusion_baseline"],
      "mm_report.json",
      [("theta", 0.3), ("t_dist", [12.0, 0.0]), ("rr_split", "0.5"),
-      ("base_set", "lidar_only"), ("lidar_set", "fusion_baseline"),
-      ("emit_plot_data", True)]),
-    # thresholds keep the order given; the report says whether the .xy
-    # files beside it are its own
+      ("base_set", "lidar_only"), ("lidar_set", "fusion_baseline")]),
+    # thresholds keep the order given
     ("sweep", ["--taus", "0.3,0.1", "--pair-tau", "CAM_FRONT:CAM_FRONT_RIGHT=0.1"],
      "sweep_report.json",
-     [("taus", [0.3, 0.1]), ("pair_taus", {"CAM_FRONT:CAM_FRONT_RIGHT": 0.1}),
-      ("emit_plot_data", False)]),
-    ("sweep", ["--taus", "0.2", "--emit-plot-data"], "sweep_report.json",
-     [("taus", [0.2]), ("pair_taus", {}), ("emit_plot_data", True)]),
+     [*DATASET_DEFAULTS, ("taus", [0.3, 0.1]),
+      ("pair_taus", {"CAM_FRONT:CAM_FRONT_RIGHT": 0.1})]),
+    ("sweep", ["--taus", "0.2"], "sweep_report.json",
+     [*DATASET_DEFAULTS, ("taus", [0.2]), ("pair_taus", {})]),
 ])
 def test_reports_echo_their_config(ring_dataset, tmp_path, command, args,
                                    report, want):
     data_dir, _ = ring_dataset
     out = tmp_path / "out"
     assert run_cli(command, "--dataset", data_dir, "--out", out, *args) == 0
-    if want == "custom":
-        expected = [("command", command), ("overlap_mode", "preset-nuscenes"),
-                    ("label_source", "projected-3d"), ("min_overlap", 2.0)]
-    else:
-        expected = [("command", command), *DATASET_DEFAULTS, *want]
     config = json.loads((out / report).read_text())["config"]
     # key order is part of the byte-stable report
-    assert list(config.items()) == expected
+    assert list(config.items()) == [("command", command), *want]
+
+
+def declared_options(command):
+    """The dests of the options ``build_parser`` declares for ``command``,
+    in the order it declares them; ``--help`` stores nothing."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a.dest for a in sub.choices[command]._actions
+            if a.default != argparse.SUPPRESS]
+
+
+@pytest.mark.parametrize("command,args,report", [
+    ("audit", [], "audit.json"),
+    ("prune", ["--tau", "0.3"], "prune_report.json"),
+    ("sweep", ["--taus", "0.3"], "sweep_report.json"),
+    ("mm", [], "mm_report.json"),
+])
+def test_report_config_is_the_options_its_command_declares(
+        ring_dataset, tmp_path, command, args, report):
+    # one rule for every report: a default set for no option, or an option
+    # the report leaves out, fails it
+    data_dir, _ = ring_dataset
+    out = tmp_path / "out"
+    assert run_cli(command, "--dataset", data_dir, "--out", out, *args) == 0
+    config = json.loads((out / report).read_text())["config"]
+    want = ["command"] + [{"pair_tau": "pair_taus"}.get(dest, dest)
+                          for dest in declared_options(command)
+                          if dest not in ("dataset", "out", "images")]
+    assert list(config) == want
 
 
 # ------------------------------------------------------------- infrastructure

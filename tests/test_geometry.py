@@ -355,6 +355,15 @@ def test_bcs_symmetric_half_clip():
     assert bcs(full, full.clip(1600, 900)) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("corners", [(100.0, 100.0, 200.0, math.nan),
+                                     (math.nan, 100.0, 200.0, 150.0)])
+def test_box2d_rejects_a_nan_coordinate(corners):
+    # such a box used to pass Annotation's area check, and prune then ended
+    # in emit_labels' bare RuntimeError
+    with pytest.raises(ValueError, match="inverted or NaN box"):
+        Box2D(*corners)
+
+
 def test_bcs_degenerate_full_box_rejected():
     degenerate = Box2D(5.0, 5.0, 5.0, 9.0)
     with pytest.raises(ValueError):

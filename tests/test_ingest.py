@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -490,6 +490,15 @@ names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters
                 ).filter(lambda s: s not in (".", ".."))
 
 
+def any_text(max_size):
+    return st.text(escaped, max_size=max_size)
+
+
+def readable_text(max_size):
+    # json reads a high surrogate written before a low one back as one character
+    return any_text(max_size).filter(lambda s: json.loads(json.dumps(s)) == s)
+
+
 def vectors(values, floats=finite_floats):
     """Mostly three values, the schema's length, but any length too, also
     of floats alone."""
@@ -521,6 +530,8 @@ def native_boxes(draw, real):
     corners = []
     for _ in range(2):
         low, high = draw(real), draw(real)
+        # Box2D refuses a NaN coordinate itself
+        assume(low == low and high == high)
         corners.append((high, low) if high < low else (low, high))
     (x0, x1), (y0, y1) = corners
     assume(not (x1 - x0) * (y1 - y0) <= 0)
@@ -533,11 +544,11 @@ def cuboids(kind, numbers, *scores):
 
 
 @st.composite
-def in_memory_datasets(draw, numbers=ANY_NUMBERS):
+def in_memory_datasets(draw, numbers=ANY_NUMBERS, text=any_text):
     """One scene whose records hold any value they accept of ``numbers``,
-    with its class map."""
+    and names and ids of ``text``, with its class map."""
     real, positive = numbers["real"], numbers["positive"]
-    categories = draw(st.lists(st.text(escaped, max_size=4), min_size=1, max_size=3,
+    categories = draw(st.lists(text(4), min_size=1, max_size=3,
                                unique=True))
     ids = draw(st.permutations(range(len(categories))))
     cameras = tuple(
@@ -550,7 +561,7 @@ def in_memory_datasets(draw, numbers=ANY_NUMBERS):
     frames = []
     for ts in sorted(draw(st.sets(st.integers(0, 10**18), min_size=1, max_size=3))):
         annotations = []
-        for track_id in draw(st.sets(st.text(escaped, max_size=5), max_size=3)):
+        for track_id in draw(st.sets(text(5), max_size=3)):
             boxes = {cam.name: draw(native_boxes(real)) for cam in cameras
                      if draw(st.booleans())}
             cuboid = draw((st.none() | cuboids(Cuboid3D, numbers)) if boxes
@@ -558,7 +569,7 @@ def in_memory_datasets(draw, numbers=ANY_NUMBERS):
             annotations.append(Annotation(track_id, draw(st.sampled_from(categories)),
                                           cuboid, boxes))
         sets = draw(st.dictionaries(
-            st.text(escaped, max_size=4), st.lists(detections, max_size=2).map(tuple),
+            text(4), st.lists(detections, max_size=2).map(tuple),
             max_size=3))
         frames.append(Frame(ts, tuple(annotations), sets))
     scene = Scene(draw(names), cameras, tuple(frames))
@@ -577,10 +588,10 @@ def leaves(doc):
 def reads_back_as_written(ds, path):
     """Whether every value of ``ds``'s one scene is a ``str``, ``int`` or
     ``float`` (not a subclass, which json writes as its base type), and
-    ``parse_dataset`` reads the reference text back as the numbers it
-    holds: not rejected, and no integer read back as another number.
-    Strings are compared as json reads them, which joins a surrogate pair
-    held as two code points into one character."""
+    ``parse_dataset`` reads the reference text back as the values it holds:
+    not rejected, no integer read back as another number, and no string as
+    another string (json joins a surrogate pair held as two code points
+    into one character)."""
     scene = ds.scenes[0]
     doc = scene_to_dict(scene, ds.class_map)
     if not all(type(v) in (str, int, float) for v in leaves(doc)):
@@ -591,11 +602,16 @@ def reads_back_as_written(ds, path):
         parsed = parse_dataset(path)
     except (ParseError, ValidationError):
         return False
-    return scene_to_dict(parsed.scenes[0], parsed.class_map) == json.loads(text)
+    return scene_to_dict(parsed.scenes[0], parsed.class_map) == doc
+
+
+# json reads this class map back as {'\U00010080': 0}
+SURROGATE_PAIR_CLASS_MAP = Dataset((Scene("s", (), (Frame(0),)),), {"\ud800\udc80": 0})
 
 
 @settings(max_examples=150, deadline=None)
 @given(ds=in_memory_datasets())
+@example(ds=SURROGATE_PAIR_CLASS_MAP)
 def test_scene_text_is_the_json_reference(tmp_path_factory, ds):
     # the writer has one path: a dataset that reads back as written is
     # written as json.dumps writes it, and any other is refused
@@ -611,10 +627,10 @@ def test_scene_text_is_the_json_reference(tmp_path_factory, ds):
 
 
 @settings(max_examples=100, deadline=None)
-@given(ds=in_memory_datasets(READABLE_NUMBERS))
+@given(ds=in_memory_datasets(READABLE_NUMBERS, readable_text))
 def test_scene_text_writes_every_dataset_that_reads_back(tmp_path_factory, ds):
-    # most datasets of any numbers hold one the writer refuses; these hold
-    # none, so each is written, cameras and native boxes included
+    # most datasets of any numbers and strings hold one the writer refuses;
+    # these hold none, so each is written, cameras and native boxes included
     path = tmp_path_factory.getbasetemp() / "scene_text_readable.json"
     scene = ds.scenes[0]
     assert scene_text(scene, ds.class_map) == reference_scene_text(scene, ds.class_map)
@@ -674,6 +690,34 @@ def test_scene_text_refuses_what_the_parser_would_not_read_back(tmp_path, value,
     scene, class_map = scene_with_yaw(value)
     with pytest.raises(ValidationError, match=re.escape(
             f"scene {scene.scene_id!r} frame 0 annotation 't00000o0000': {message}")):
+        write_dataset(Dataset((scene,), class_map), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where,message", [
+    ("class map", ": class map name"),
+    ("track", " frame 0 annotation 'a\\ud800\\udc80': track_id"),
+    ("detection set", " frame 0: detection set name"),
+])
+def test_scene_text_refuses_a_surrogate_pair_held_as_two_code_points(tmp_path, where,
+                                                                    message):
+    # json writes the two code points as two escapes and reads them back as
+    # one character, '\U00010080'
+    pair = "a\ud800\udc80"
+    ds, _ = generate_scene(SynthParams(seed=4, n_objects=1))
+    scene, class_map = ds.scenes[0], ds.class_map
+    frame = scene.frames[0]
+    if where == "class map":
+        class_map = {**class_map, pair: len(class_map)}
+    elif where == "track":
+        ann = dataclasses.replace(frame.annotations[0], track_id=pair)
+        frame = dataclasses.replace(frame, annotations=(ann,))
+    else:
+        frame = dataclasses.replace(frame, detection_sets={pair: ()})
+    scene = dataclasses.replace(scene, frames=(frame,))
+    with pytest.raises(ValidationError, match=re.escape(
+            f"scene {scene.scene_id!r}{message} "
+            "holds a surrogate pair as two code points")):
         write_dataset(Dataset((scene,), class_map), tmp_path / "out")
     assert not (tmp_path / "out").exists()
 

@@ -1,6 +1,7 @@
 """The README's command-line examples run and write the files its table of
-outputs lists."""
+outputs lists, and its command-line section names every option there is."""
 
+import argparse
 import os
 import re
 import shlex
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import redkit
+from redkit.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TABLE_HEADER = "files under `--out`, in write order"
@@ -65,3 +67,17 @@ def test_command_line_examples_write_the_files_the_table_lists(tmp_path):
             assert sum(bool(re.fullmatch(p, name)) for p in patterns) == 1, name
         for pattern in patterns:
             assert any(re.fullmatch(pattern, name) for name in written), pattern
+
+
+def test_command_line_section_names_every_option_and_no_other():
+    text = section(README.read_text(encoding="utf-8"), "Command line")
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in parser._actions for o in a.option_strings
+                      if o.startswith("--") and a.default != argparse.SUPPRESS}
+               for name, parser in sub.choices.items()}
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", text))
+    for command, declared in options.items():
+        assert declared <= named, (command, sorted(declared - named))
+    every = set().union(*options.values())
+    assert named <= every, sorted(named - every)

@@ -338,49 +338,41 @@ def _clip_convex(subject: list[tuple[float, float]],
                  clip: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Sutherland-Hodgman clip of a convex CCW subject by a convex CCW polygon."""
     output = subject
-    m = len(clip)
-    for i in range(m):
+    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
         if not output:
             return []
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % m]
         ex = bx - ax
         ey = by - ay
-        # interior is to the left of the directed clip edge; boundary counts
-        side = [ex * (py - ay) - ey * (px - ax) for px, py in output]
+        # interior is to the left of the directed clip edge; boundary counts.
+        # Each vertex q is paired with the one before it, p, and sp and sq are
+        # their signed distances to the clip edge. Where the pair straddles
+        # the edge (one >= 0, one < 0), sp - sq cannot be zero even when the
+        # segment runs parallel to the edge to within rounding, which the
+        # direction cross product form fails on.
+        px, py = output[-1]
+        sp = ex * (py - ay) - ey * (px - ax)
         result: list[tuple[float, float]] = []
-        k = len(output)
-        for j in range(k):
-            cur = output[j]
-            prev = output[j - 1]
-            if side[j] >= 0.0:
-                if side[j - 1] < 0.0:
-                    result.append(_edge_intersection(prev, cur, side[j - 1], side[j]))
-                result.append(cur)
-            elif side[j - 1] >= 0.0:
-                result.append(_edge_intersection(prev, cur, side[j - 1], side[j]))
+        for q in output:
+            qx, qy = q
+            sq = ex * (qy - ay) - ey * (qx - ax)
+            if sq >= 0.0:
+                if sp < 0.0:
+                    t = sp / (sp - sq)
+                    result.append((px + t * (qx - px), py + t * (qy - py)))
+                result.append(q)
+            elif sp >= 0.0:
+                t = sp / (sp - sq)
+                result.append((px + t * (qx - px), py + t * (qy - py)))
+            px = qx
+            py = qy
+            sp = sq
         output = result
     return output
 
 
-def _edge_intersection(p: tuple[float, float], q: tuple[float, float],
-                       sp: float, sq: float) -> tuple[float, float]:
-    # sp and sq are the endpoints' signed distances to the clip edge. The
-    # pair straddles the edge (one >= 0, one < 0), so sp - sq cannot be
-    # zero even when the segment runs parallel to the edge to within
-    # rounding, which the direction cross product form fails on.
-    t = sp / (sp - sq)
-    px, py = p
-    qx, qy = q
-    return (px + t * (qx - px), py + t * (qy - py))
-
-
 def _polygon_area(points: list[tuple[float, float]]) -> float:
-    k = len(points)
     acc = 0.0
-    for i in range(k):
-        x0, y0 = points[i]
-        x1, y1 = points[(i + 1) % k]
+    for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]):
         acc += x0 * y1 - x1 * y0
     return 0.5 * abs(acc)
 
@@ -420,17 +412,30 @@ def iou3d(a: Cuboid3D, b: Cuboid3D) -> float:
 
 
 def centroid_distance(box: Cuboid3D) -> float:
-    """Euclidean distance from the ego origin to the mean of the 8 corners."""
-    sx = 0.0
-    sy = 0.0
-    sz = 0.0
-    for x, y, z in cuboid_corners(box):
-        sx += x
-        sy += y
-        sz += z
-    sx /= 8.0
-    sy /= 8.0
-    sz /= 8.0
+    """Euclidean distance from the ego origin to the mean of the 8 corners.
+
+    The corners are :func:`cuboid_corners`' and are summed in its order,
+    from 0.0, without building them.
+    """
+    cx, cy, cz = box.center[0], box.center[1], box.center[2]
+    hl = 0.5 * box.size[0]
+    hw = 0.5 * box.size[1]
+    hh = 0.5 * box.size[2]
+    c = math.cos(box.yaw)
+    s = math.sin(box.yaw)
+    x0 = cx + hl * c - hw * s
+    x1 = cx - hl * c - hw * s
+    x2 = cx - hl * c + hw * s
+    x3 = cx + hl * c + hw * s
+    y0 = cy + hl * s + hw * c
+    y1 = cy - hl * s + hw * c
+    y2 = cy - hl * s - hw * c
+    y3 = cy + hl * s - hw * c
+    z0 = cz - hh
+    z1 = cz + hh
+    sx = (0.0 + x0 + x1 + x2 + x3 + x0 + x1 + x2 + x3) / 8.0
+    sy = (0.0 + y0 + y1 + y2 + y3 + y0 + y1 + y2 + y3) / 8.0
+    sz = (0.0 + z0 + z0 + z0 + z0 + z1 + z1 + z1 + z1) / 8.0
     return math.sqrt(sx * sx + sy * sy + sz * sz)
 
 

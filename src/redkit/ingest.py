@@ -354,6 +354,9 @@ def _ctx_get(obj: Mapping[str, Any], key: str, ctx: str) -> Any:
 _NUMBER_TYPES = frozenset((int, float))
 _INTRINSICS = ("fx", "fy", "cx", "cy")
 _BOX_KEYS = ("x0", "y0", "x1", "y1")
+# a detection record's numbers in file order, named as the parser names
+# them; a cuboid's are the first seven
+_POSE_NUMBERS = ("center entry",) * 3 + ("size entry",) * 3 + ("yaw", "score")
 
 
 def _finite(value: Any, what: str, ctx: str) -> float:
@@ -444,11 +447,11 @@ def _parse_cuboid(obj: Any, ctx: str) -> Cuboid3D:
 
 def _parse_detection(obj: Any, ctx: str) -> Box3D:
     _typed(obj, dict, "detection record", ctx)
-    return _record(Box3D, ctx,
-                   _vec(_ctx_get(obj, "center", ctx), 3, "center", ctx),
-                   _vec(_ctx_get(obj, "size", ctx), 3, "size", ctx),
-                   _finite(_ctx_get(obj, "yaw", ctx), "yaw", ctx),
-                   _finite(_ctx_get(obj, "score", ctx), "score", ctx))
+    center = _array(_ctx_get(obj, "center", ctx), 3, "center", ctx)
+    size = _array(_ctx_get(obj, "size", ctx), 3, "size", ctx)
+    numbers = _floats((*center, *size, _ctx_get(obj, "yaw", ctx),
+                       _ctx_get(obj, "score", ctx)), _POSE_NUMBERS, ctx)
+    return _record(Box3D, ctx, numbers[:3], numbers[3:6], numbers[6], numbers[7])
 
 
 def _parse_annotation(obj: Any, ctx: str) -> Annotation:
@@ -608,7 +611,6 @@ _BOX2D = _template(dict.fromkeys(_BOX_KEYS), 6)
 _DETECTION = _template({**_POSE, "score": None}, 5)
 # the numbers that fill a template, named as the parser names them
 _EXTRINSICS = ("rotation entry",) * 4 + ("translation entry",) * 3
-_POSE_NUMBERS = ("center entry",) * 3 + ("size entry",) * 3 + ("yaw", "score")
 
 
 def _string(value: str, ctx: str, name: str) -> str:

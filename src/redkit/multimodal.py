@@ -54,24 +54,6 @@ def _bounding_circles(boxes: Sequence[Cuboid3D]
     return circles
 
 
-def _may_touch(circle: tuple[float, float, float],
-               circles: Sequence[tuple[float, float, float]]) -> list[int]:
-    """Indices of ``circles`` not provably apart from ``circle``.
-
-    Every other pair has IoU exactly 0. A comparison involving NaN is not
-    a proof, so such pairs are kept for the exact clip.
-    """
-    x, y, r = circle
-    near = []
-    for i, (cx, cy, cr) in enumerate(circles):
-        dx = x - cx
-        dy = y - cy
-        s = r + cr
-        if not dx * dx + dy * dy > s * s:
-            near.append(i)
-    return near
-
-
 @dataclass(frozen=True)
 class FrameMatch:
     """One frame's base x LiDAR matches at one IoU threshold.
@@ -99,6 +81,8 @@ def match_frame(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
 
     LiDAR boxes are tested farthest first, and each baseline box stops at
     its first box with IoU >= ``theta``: that box's distance is its reach.
+    Each pair is screened by bounding circles as it is reached, and only
+    the pairs the screen keeps go to ``iou3d``.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
@@ -106,14 +90,19 @@ def match_frame(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
     # farthest first; NaN distances never survive pruning, so they go last
     order = sorted(range(len(lidar)),
                    key=lambda li: (math.isnan(distances[li]), -distances[li]))
-    ordered_circles = _bounding_circles([lidar[li] for li in order])
+    ordered = [(lidar[li], distances[li], *circle) for li, circle
+               in zip(order, _bounding_circles([lidar[li] for li in order]))]
     reach = []
-    for b, circle in zip(base, _bounding_circles(base)):
+    for b, (x, y, r) in zip(base, _bounding_circles(base)):
         hit = None
-        for k in _may_touch(circle, ordered_circles):
-            li = order[k]
-            if iou3d(b, lidar[li]) >= theta:
-                hit = distances[li]
+        for l, d, cx, cy, cr in ordered:
+            # circles provably apart have IoU exactly 0; a comparison
+            # involving NaN is not a proof, so such pairs reach the clip
+            dx = x - cx
+            dy = y - cy
+            s = r + cr
+            if not dx * dx + dy * dy > s * s and iou3d(b, l) >= theta:
+                hit = d
                 break
         reach.append(hit)
     return FrameMatch(distances, tuple(reach))
@@ -217,8 +206,9 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]
     """Welch's unequal-variance t-test.
 
     Returns ``(t, df, p)`` with the Welch-Satterthwaite degrees of freedom
-    and the two-sided p-value. Each sample needs at least two values, and at
-    least one sample must have nonzero variance.
+    and the two-sided p-value. Each sample needs at least two values, at
+    least one sample must have nonzero variance, and ``t`` and the degrees
+    of freedom must be finite floats.
     """
     na = len(a)
     nb = len(b)
@@ -235,6 +225,10 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]
     se2 = sa + sb
     t = (mean_a - mean_b) / math.sqrt(se2)
     df = se2 * se2 / (sa * sa / (na - 1) + sb * sb / (nb - 1))
+    if not (math.isfinite(t) and math.isfinite(df)):
+        # se2 squared passes the largest float once the samples spread over
+        # about 1e77
+        raise ValueError("the samples' variances overflow a float, t undefined")
     return t, df, _student_t_two_sided_p(t, df)
 
 
@@ -270,6 +264,11 @@ def distance_ttest(bases: Sequence[Sequence[Cuboid3D]], rrs: Sequence[float],
     if len(high) < 2 or len(low) < 2:
         result["status"] = "skipped"
         result["reason"] = "a redundancy group has fewer than two distances"
+        return result
+    if not all(map(math.isfinite, high + low)):
+        # a centre beyond about 1.3e154 m squares past the largest float
+        result["status"] = "skipped"
+        result["reason"] = "a baseline distance is not finite"
         return result
     result["mean_high"] = sum(high) / len(high)
     result["mean_low"] = sum(low) / len(low)

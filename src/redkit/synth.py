@@ -1,6 +1,6 @@
 """Seeded synthetic scenes with analytic ground truth, plus brute-force
-reference implementations of the pruning and redundancy measures and of
-the scene file text.
+reference implementations of the pruning and redundancy measures, of the
+3D IoU and of the scene file text.
 
 Determinism contract: generation consumes randomness only from the
 xorshift64* generator below, so identical parameters reproduce bit-identical
@@ -22,7 +22,6 @@ from .geometry import (
     Box3D,
     CameraModel,
     Cuboid3D,
-    centroid_distance,
     check_threshold,
     horizontal_fov,
     iou3d,
@@ -469,6 +468,98 @@ def brute_force_rr(base: Sequence[Cuboid3D], lidar: Sequence[Cuboid3D],
     return hits / len(base)
 
 
+def reference_iou3d(a: Cuboid3D, b: Cuboid3D) -> float:
+    """Reference 3D IoU, which ``redkit.geometry.iou3d`` must reproduce bit
+    for bit: the same footprints, clip and areas, written as plainly as
+    possible (each clip edge lists every vertex's side value first, and the
+    shoelace indexes its vertices)."""
+    za0 = a.center[2] - 0.5 * a.size[2]
+    za1 = a.center[2] + 0.5 * a.size[2]
+    zb0 = b.center[2] - 0.5 * b.size[2]
+    zb1 = b.center[2] + 0.5 * b.size[2]
+    dz = min(za1, zb1) - max(za0, zb0)
+    if dz <= 0.0:
+        return 0.0
+    fa = _reference_footprint(a)
+    fb = _reference_footprint(b)
+    inter_poly = _reference_clip(fa, fb)
+    if len(inter_poly) < 3:
+        return 0.0
+    inter_area = _reference_area(inter_poly)
+    if inter_area <= 0.0:
+        return 0.0
+    vol_a = _reference_area(fa) * (za1 - za0)
+    vol_b = _reference_area(fb) * (zb1 - zb0)
+    inter = inter_area * dz
+    union = vol_a + vol_b - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def _reference_footprint(box: Cuboid3D) -> list[tuple[float, float]]:
+    """Ground-plane footprint corners, counterclockwise starting at local
+    (+x, +y)."""
+    cx, cy = box.center[0], box.center[1]
+    hl = 0.5 * box.size[0]
+    hw = 0.5 * box.size[1]
+    c = math.cos(box.yaw)
+    s = math.sin(box.yaw)
+    return [
+        (cx + hl * c - hw * s, cy + hl * s + hw * c),
+        (cx - hl * c - hw * s, cy - hl * s + hw * c),
+        (cx - hl * c + hw * s, cy - hl * s - hw * c),
+        (cx + hl * c + hw * s, cy + hl * s - hw * c),
+    ]
+
+
+def _reference_clip(subject: list[tuple[float, float]],
+                    clip: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Sutherland-Hodgman clip of a convex CCW subject by a convex CCW polygon."""
+    output = subject
+    m = len(clip)
+    for i in range(m):
+        if not output:
+            return []
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % m]
+        ex = bx - ax
+        ey = by - ay
+        # interior is to the left of the directed clip edge; boundary counts
+        side = [ex * (py - ay) - ey * (px - ax) for px, py in output]
+        result: list[tuple[float, float]] = []
+        for j in range(len(output)):
+            if side[j] >= 0.0:
+                if side[j - 1] < 0.0:
+                    result.append(_reference_crossing(output[j - 1], output[j],
+                                                      side[j - 1], side[j]))
+                result.append(output[j])
+            elif side[j - 1] >= 0.0:
+                result.append(_reference_crossing(output[j - 1], output[j],
+                                                  side[j - 1], side[j]))
+        output = result
+    return output
+
+
+def _reference_crossing(p: tuple[float, float], q: tuple[float, float],
+                        sp: float, sq: float) -> tuple[float, float]:
+    """Where segment ``p``-``q`` crosses the clip edge; ``sp`` and ``sq`` are
+    the endpoints' signed distances to it."""
+    t = sp / (sp - sq)
+    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+
+def _reference_area(points: list[tuple[float, float]]) -> float:
+    """Shoelace area of a simple polygon."""
+    k = len(points)
+    acc = 0.0
+    for i in range(k):
+        x0, y0 = points[i]
+        x1, y1 = points[(i + 1) % k]
+        acc += x0 * y1 - x1 * y0
+    return 0.5 * abs(acc)
+
+
 def brute_force_distance(box: Cuboid3D) -> float:
     """Reference centroid distance: average the corners explicitly."""
     corners = []
@@ -576,6 +667,7 @@ __all__ = [
     "camera_at_yaw",
     "generate_scene",
     "nuscenes_like_cameras",
+    "reference_iou3d",
     "reference_scene_text",
     "scene_to_dict",
 ]

@@ -29,7 +29,6 @@ from conftest import box_with_bcs, dataset_of, holder, json_values, scene_with_b
 from redkit.cli import build_parser, main
 from redkit.geometry import Box2D, Box3D, centroid_distance
 from redkit.ingest import Frame, Scene, ValidationError, parse_dataset, write_dataset
-from redkit.overlap import preset_nuscenes
 from redkit.synth import (
     SynthParams,
     brute_force_prune,
@@ -736,6 +735,32 @@ def test_mm_rejects_non_finite_detections(tmp_path, capsys, field, index, value)
     want = "must be finite" if not math.isfinite(value) else "size must be positive"
     assert want in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("x,reason", [
+    # the distances overflow to inf
+    (1e200, "a baseline distance is not finite"),
+    # the distances are finite, but their variance squared is not
+    (1e100, "the samples' variances overflow a float, t undefined"),
+])
+def test_mm_skips_the_ttest_on_far_away_boxes(ring_dataset, tmp_path, x, reason):
+    # the t-test used to fail on these with "incomplete beta did not converge"
+    data_dir, _ = ring_dataset
+
+    def edit(doc):
+        for k, box in enumerate(doc["frames"][0]["detection_sets"]["fusion_baseline"]):
+            box["center"][0] = x * (k + 1)
+
+    edit_scene_file(data_dir, edit)
+    out = tmp_path / "mm"
+    assert run_cli("mm", "--dataset", data_dir, "--out", out, "--t-dist", "0,5",
+                   "--rr-split", "0.5") == 0
+    ttest = json.loads((out / "mm_report.json").read_text())["t_test"]
+    assert (ttest["status"], ttest["reason"]) == ("skipped", reason)
+    assert f"skipped: {reason}\n" in (out / "mm_ttest.txt").read_text()
+    for path in out.iterdir():
+        text = path.read_text()
+        assert "Infinity" not in text and "NaN" not in text and "nan" not in text
 
 
 @pytest.mark.parametrize("field,index,value", [

@@ -7,10 +7,11 @@ with a calculator and are frozen here as literals.
 import dataclasses
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from redkit.geometry import (
@@ -33,7 +34,7 @@ from redkit.geometry import (
     quat_to_matrix,
     yaw_center,
 )
-from redkit.synth import FORWARD_CAMERA_ROTATION, camera_at_yaw
+from redkit.synth import FORWARD_CAMERA_ROTATION, camera_at_yaw, reference_iou3d
 
 
 def make_front_camera(fx=1000.0, cx=800.0, cy=450.0, width=1600, height=900):
@@ -452,6 +453,61 @@ def test_iou3d_self_is_one(box):
     assert iou3d(box, box) == 1.0
 
 
+def bits(x):
+    """The IEEE double's bytes: tells -0.0 from 0.0 and one NaN from
+    another."""
+    return struct.pack("<d", x)
+
+
+# centres near the origin or up to 1e8 m out, or NaN
+any_coordinate = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e8, 1e8),
+                           st.just(math.nan))
+any_size = st.floats(0.01, 100.0)
+# the yaws whose sines and cosines are exact zeros, ones or their roundings
+special_yaw = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, math.pi]),
+                        st.floats(-10.0, 10.0))
+
+
+@st.composite
+def cuboid_pairs(draw):
+    """Two cuboids whose footprints touch along an edge, nest, coincide or
+    lie at random nearby, anywhere up to 1e8 m out, some with NaN centres."""
+    center = tuple(draw(any_coordinate) for _ in range(3))
+    size = tuple(draw(any_size) for _ in range(3))
+    yaw = draw(special_yaw)
+    a = Cuboid3D(center, size, yaw)
+    cx, cy, cz = center
+    kind = draw(st.sampled_from(["touching", "nested", "same", "loose"]))
+    if kind == "touching":
+        # b's back edge on a's front edge, slid along it
+        length = draw(any_size)
+        d = 0.5 * (size[0] + length)
+        shift = draw(st.floats(-1.0, 1.0)) * size[1]
+        c, s = math.cos(yaw), math.sin(yaw)
+        b = Cuboid3D((cx + d * c - shift * s, cy + d * s + shift * c, cz),
+                     (length, draw(any_size), draw(any_size)), yaw)
+    elif kind == "nested":
+        f = draw(st.floats(0.01, 1.0))
+        b = Cuboid3D(center, tuple(f * v for v in size), yaw)
+    elif kind == "same":
+        b = Cuboid3D(center, size, yaw)
+    else:
+        offset = st.floats(-5.0, 5.0)
+        b = Cuboid3D((cx + draw(offset), cy + draw(offset), cz + draw(offset)),
+                     tuple(draw(any_size) for _ in range(3)), draw(special_yaw))
+    return a, b
+
+
+@settings(max_examples=600, deadline=None)
+@given(cuboid_pairs())
+def test_iou3d_is_the_reference_bit_for_bit(pair):
+    # brute_force_rr, the benchmark's oracle, calls iou3d itself, so only
+    # this comparison catches a rewrite of the clip that moves a bit
+    a, b = pair
+    assert bits(iou3d(a, b)) == bits(reference_iou3d(a, b))
+    assert bits(iou3d(b, a)) == bits(reference_iou3d(b, a))
+
+
 def mc_iou3d(a, b, n, rng):
     """Monte-Carlo IoU: exact analytic volumes, sampled intersection."""
 
@@ -511,6 +567,31 @@ def test_centroid_distance_sqrt3():
 def test_centroid_distance_is_center_norm(box):
     want = math.sqrt(sum(c * c for c in box.center))
     assert abs(centroid_distance(box) - want) < 1e-9
+
+
+def corner_mean_distance(box):
+    """Distance to the mean of :func:`cuboid_corners`, summed in their
+    order from 0.0."""
+    sx = sy = sz = 0.0
+    for x, y, z in cuboid_corners(box):
+        sx += x
+        sy += y
+        sz += z
+    sx /= 8.0
+    sy /= 8.0
+    sz /= 8.0
+    return math.sqrt(sx * sx + sy * sy + sz * sz)
+
+
+@settings(max_examples=600)
+@given(st.tuples(*[any_coordinate] * 3), st.tuples(*[any_size] * 3), special_yaw)
+# a centre so far out that the distance overflows to inf
+@example((1e200, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
+def test_centroid_distance_is_the_corner_mean_bit_for_bit(center, size, yaw):
+    # the distance sweep compares these distances with >=, so a cheaper
+    # sum must not move a bit
+    box = Cuboid3D(center, size, yaw)
+    assert bits(centroid_distance(box)) == bits(corner_mean_distance(box))
 
 
 # --------------------------------------------------------- fov / yaw / column

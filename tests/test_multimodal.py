@@ -10,7 +10,7 @@ import math
 
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import redkit.multimodal
@@ -345,6 +345,61 @@ def test_screen_limits_iou3d_calls(iou3d_calls):
         match_frame(base, frame.detection_sets["lidar_only"], theta=0.5)
     assert n_base > 0
     assert 0 < len(iou3d_calls) <= 2 * n_base
+
+
+def screened_pairs(base, lidar, theta):
+    """The pairs that reach ``iou3d``, in order, when each base box first
+    lists the LiDAR boxes (farthest first) whose bounding circles its own
+    may touch, then clips them in that order up to its first hit."""
+    dist = [centroid_distance(l) for l in lidar]
+    order = sorted(range(len(lidar)), key=lambda i: (math.isnan(dist[i]), -dist[i]))
+    circles = redkit.multimodal._bounding_circles([lidar[i] for i in order])
+    pairs = []
+    for b, (x, y, r) in zip(base, redkit.multimodal._bounding_circles(base)):
+        near = []
+        for k, (cx, cy, cr) in enumerate(circles):
+            dx = x - cx
+            dy = y - cy
+            s = r + cr
+            if not dx * dx + dy * dy > s * s:
+                near.append(k)
+        for k in near:
+            pairs.append((b, lidar[order[k]]))
+            if iou3d(b, lidar[order[k]]) >= theta:
+                break
+    return pairs
+
+
+def check_pairs(calls, base, lidar, theta):
+    calls.clear()
+    match_frame(base, lidar, theta)
+    want = screened_pairs(base, lidar, theta)
+    assert len(calls) == len(want)
+    assert all(a is c and b is d for (a, b), (c, d) in zip(calls, want))
+
+
+def test_screen_clips_the_listed_pairs_in_order(iou3d_calls):
+    for seed in (5, 31):
+        ds, _ = generate_scene(
+            SynthParams(seed=seed, n_objects=30, n_frames=2, drop_rate=0.3,
+                        detection_noise=0.2)
+        )
+        for frame in ds.scenes[0].frames:
+            for theta in (5e-324, 0.1, 0.5, 1.0):
+                check_pairs(iou3d_calls, frame.detection_sets["fusion_baseline"],
+                            frame.detection_sets["lidar_only"], theta)
+    nan_box = scored(math.nan, 0.0)
+    check_pairs(iou3d_calls, [cube(0.0), nan_box],
+                [scored(100.0), nan_box, cube(0.0), scored(0.5)], 0.5)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(near_pairs(), thetas)
+def test_screen_clips_near_pairs_in_order(iou3d_calls, pair, theta):
+    a, b = pair
+    for base, lidar in (([a], [b]), ([a, b], [b, a]), ([b, a], [a, b, a])):
+        check_pairs(iou3d_calls, base, lidar, theta)
 
 
 # ------------------------------------------------------------------ t-test

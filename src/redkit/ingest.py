@@ -552,9 +552,9 @@ def parse_dataset(path: str | Path, *,
             doc = json.loads(f.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{f}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-        except ValueError as exc:
-            # an integer literal past Python's digit limit, or bytes that are
-            # not UTF-8
+        except (ValueError, RecursionError) as exc:
+            # an integer literal past Python's digit limit, bytes that are
+            # not UTF-8, or arrays or objects nested too deep to decode
             raise ParseError(f"{f}: {exc}") from None
         scene, class_map = _parse_scene(doc, class_map, str(f), parts)
         scenes.append(scene)

@@ -18,8 +18,8 @@ import numpy as np
 from .geometry import CameraModel, angle_to_column, bcs, check_threshold, \
     frustum_screen, horizontal_fov, normalize_deg, yaw_center
 from .geometry import Box2D
-from .ingest import LABEL_SOURCES, Annotation, Dataset, GrayImage, Scene, parse_pgm, \
-    resolve_box
+from .ingest import LABEL_SOURCES, Annotation, Dataset, GrayImage, Scene, ValidationError, \
+    parse_pgm, resolve_box
 from .overlap import OverlapGraph, OverlapPair
 
 # (scene_id, timestamp_ns, camera, track_id)
@@ -61,46 +61,36 @@ class SweepRow:
     tracks: int
 
 
-def _observations(ann, cameras: Mapping[str, CameraModel], names: Sequence[str],
-                  source: str) -> list[Observation]:
-    """An observation exists where the annotation resolves to a box with
-    positive clipped area under ``source``; only the cameras in ``names``
-    are tried."""
-    obs = []
-    for name in names:
-        resolved = resolve_box(ann, cameras[name], source)
-        if resolved is None:
-            continue
-        full, clipped = resolved
-        if clipped.area <= 0.0:
-            continue
-        obs.append(Observation(name, clipped, bcs(full, clipped)))
-    return obs
-
-
-def _annotations(scene: Scene, source: str
-                 ) -> Iterator[tuple[int, Annotation, list[str]]]:
+def _observations(scene: Scene, source: str
+                  ) -> Iterator[tuple[int, Annotation, list[Observation]]]:
     """Every annotation of ``scene`` in frame order, with its frame's
-    timestamp and the sorted names of the cameras that may observe it:
-    under ``native-2d`` those it has a box in, under ``projected-3d`` those
-    :func:`frustum_screen` keeps. Any other source is a ``ValueError``."""
+    timestamp and its observations under ``source`` (checked by the caller):
+    the tried cameras, in name order, where it resolves to a box with
+    positive clipped area. Under ``native-2d`` it tries the cameras it has a
+    box in, under ``projected-3d`` those :func:`frustum_screen` keeps."""
     frames = scene.frames
+    cameras = scene.camera_map
     if source == "native-2d":
         # only the cameras that actually carry a box; avoids a full rig scan
-        return ((f.timestamp_ns, ann, sorted(ann.boxes2d))
-                for f in frames for ann in f.annotations)
-    if source != "projected-3d":
-        raise ValueError(f"unknown label source {source!r}, expected one of "
-                         f"{LABEL_SOURCES}")
-    names = sorted(scene.camera_map)
-    keep = iter(frustum_screen(
-        [scene.camera_map[n] for n in names],
-        [ann.cuboid for f in frames for ann in f.annotations
-         if ann.cuboid is not None]).tolist())
-    return ((f.timestamp_ns, ann,
-             [n for n, k in zip(names, next(keep)) if k]
-             if ann.cuboid is not None else [])
-            for f in frames for ann in f.annotations)
+        tried = (sorted(ann.boxes2d) for f in frames for ann in f.annotations)
+    else:
+        names = sorted(cameras)
+        keep = iter(frustum_screen(
+            [cameras[n] for n in names],
+            [ann.cuboid for f in frames for ann in f.annotations
+             if ann.cuboid is not None]).tolist())
+        tried = ([n for n, k in zip(names, next(keep)) if k]
+                 if ann.cuboid is not None else []
+                 for f in frames for ann in f.annotations)
+    for f in frames:
+        for ann in f.annotations:
+            observations = []
+            for name in next(tried):
+                resolved = resolve_box(ann, cameras[name], source)
+                if resolved is not None and resolved[1].area > 0.0:
+                    full, clipped = resolved
+                    observations.append(Observation(name, clipped, bcs(full, clipped)))
+            yield f.timestamp_ns, ann, observations
 
 
 def _components(cams: Sequence[str], adjacency: Mapping[str, frozenset[str]]
@@ -160,15 +150,16 @@ def _graph_for(graph: OverlapGraph | Mapping[str, OverlapGraph], scene_id: str
 def _index_dataset(dataset: Dataset,
                    graph: OverlapGraph | Mapping[str, OverlapGraph],
                    source: str) -> _DatasetIndex:
+    if source not in LABEL_SOURCES:
+        raise ValueError(f"unknown label source {source!r}, expected one of "
+                         f"{LABEL_SOURCES}")
     labels: dict[LabelKey, Box2D] = {}
     groups: list[RedundancyGroup] = []
     tracks: set[tuple[str, str]] = set()
     for scene in dataset.scenes:
         scene_graph = _graph_for(graph, scene.scene_id)
-        cameras = scene.camera_map
         sid = scene.scene_id
-        for ts, ann, names in _annotations(scene, source):
-            observations = _observations(ann, cameras, names, source)
+        for ts, ann, observations in _observations(scene, source):
             if not observations:
                 continue
             tracks.add((sid, ann.track_id))
@@ -383,6 +374,8 @@ def overlap_similarity(dataset: Dataset, graphs: Mapping[str, OverlapGraph],
     if image_root is None:
         return {"status": "skipped", "reason": "no images supplied"}
     root = Path(image_root)
+    if not root.is_dir():
+        raise ValidationError(f"{root}: no such directory")
     per_scene: dict[str, dict] = {}
     compared = 0
     for scene in dataset.scenes:
@@ -396,11 +389,9 @@ def overlap_similarity(dataset: Dataset, graphs: Mapping[str, OverlapGraph],
                 path_b = base / f"{pair.camera_b}.pgm"
                 if not path_a.is_file() or not path_b.is_file():
                     continue
-                crop_a = crop_overlap(
-                    parse_pgm(path_a.read_bytes()), cam_map[pair.camera_a], pair.arc)
-                crop_b = crop_overlap(
-                    parse_pgm(path_b.read_bytes()), cam_map[pair.camera_b], pair.arc)
-                sims.append(cosine_similarity(crop_a, crop_b))
+                sims.append(cosine_similarity(
+                    _crop(path_a, cam_map[pair.camera_a], pair.arc),
+                    _crop(path_b, cam_map[pair.camera_b], pair.arc)))
             key = f"{pair.camera_a}|{pair.camera_b}"
             if sims:
                 compared += len(sims)
@@ -414,6 +405,14 @@ def overlap_similarity(dataset: Dataset, graphs: Mapping[str, OverlapGraph],
     if compared == 0:
         return {"status": "skipped", "reason": "no frame had images for any pair"}
     return {"status": "ok", "per_scene": per_scene}
+
+
+def _crop(path: Path, cam: CameraModel, arc: tuple[float, float]) -> GrayImage:
+    """:func:`crop_overlap` of the PGM at ``path``; an error names the file."""
+    try:
+        return crop_overlap(parse_pgm(path.read_bytes()), cam, arc)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _resample_to_grid(img: GrayImage) -> np.ndarray:

@@ -192,7 +192,9 @@ def test_audit_empty_dataset_fails(tmp_path, capsys):
     assert "no scene files" in capsys.readouterr().err
 
 
-def test_audit_with_images_runs_similarity_prescreen(tmp_path):
+def image_dataset(tmp_path):
+    """A two-camera scene on disk with one frame of random PGM images under
+    ``tmp_path / "img"``: the data directory and the frame's image directory."""
     import numpy as np
 
     from redkit.ingest import serialize_pgm, GrayImage
@@ -213,7 +215,11 @@ def test_audit_with_images_runs_similarity_prescreen(tmp_path):
     for cam in cams:
         pixels = rng.integers(1, 255, size=(8, 64), dtype=np.uint8)
         (frame_dir / f"{cam.name}.pgm").write_bytes(serialize_pgm(GrayImage(pixels)))
+    return data_dir, frame_dir
 
+
+def test_audit_with_images_runs_similarity_prescreen(tmp_path):
+    data_dir, _ = image_dataset(tmp_path)
     out = tmp_path / "audit"
     assert run_cli("audit", "--dataset", data_dir, "--out", out,
                    "--images", tmp_path / "img") == 0
@@ -223,6 +229,42 @@ def test_audit_with_images_runs_similarity_prescreen(tmp_path):
     stats = section["per_scene"]["s0"]["CAM_A|CAM_B"]
     assert stats["frames"] == 1
     assert 0.0 <= stats["mean"] <= 1.0
+
+
+def test_audit_images_root_must_be_a_directory(tmp_path, capsys):
+    # a mistyped root used to read as "no frame had images" and exit 0
+    data_dir, _ = image_dataset(tmp_path)
+    for root in (tmp_path / "imgs", data_dir / "scene-s0.json"):
+        out = tmp_path / "audit"
+        assert run_cli("audit", "--dataset", data_dir, "--out", out,
+                       "--images", root) == 1
+        assert capsys.readouterr().err == (
+            f"redkit audit: error: {root}: no such directory\n")
+        assert not out.exists()
+    # a root that holds no image of the dataset still skips the prescreen
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run_cli("audit", "--dataset", data_dir, "--out", tmp_path / "audit",
+                   "--images", empty) == 0
+    report = json.loads((tmp_path / "audit" / "audit.json").read_text())
+    assert report["cosine_similarity"] == {
+        "status": "skipped", "reason": "no frame had images for any pair"}
+
+
+@pytest.mark.parametrize("image,message", [
+    (b"P5 8 8 255\n\x01\x02\x03", "truncated PGM payload: 3 bytes, expected 64"),
+    (b"P5 32 8 255\n" + b"\x07" * 256,
+     "image width 32 does not match camera 'CAM_A' width 64"),
+], ids=["truncated", "wrong-width"])
+def test_audit_names_the_image_it_cannot_use(tmp_path, capsys, image, message):
+    data_dir, frame_dir = image_dataset(tmp_path)
+    path = frame_dir / "CAM_A.pgm"
+    path.write_bytes(image)
+    out = tmp_path / "audit"
+    assert run_cli("audit", "--dataset", data_dir, "--out", out,
+                   "--images", tmp_path / "img") == 1
+    assert capsys.readouterr().err == f"redkit audit: error: {path}: {message}\n"
+    assert not out.exists()
 
 
 def test_audit_histogram_covers_all_grouped_boxes(ring_dataset, tmp_path):
@@ -878,6 +920,19 @@ def test_integer_past_the_digit_limit_names_the_file(ring_dataset, tmp_path, cap
     out = tmp_path / "x"
     assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", "0.3") == 1
     assert f"redkit prune: error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_nested_too_deep_names_the_file(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    path = data_dir / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    out = tmp_path / "x"
+    assert run_cli("audit", "--dataset", data_dir, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"redkit audit: error: {path}: maximum recursion depth")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

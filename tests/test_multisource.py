@@ -8,8 +8,9 @@ import pytest
 
 import redkit.multisource
 from conftest import box_with_bcs, chain_ring_dataset, dataset_of, scene_with_boxes
-from redkit.geometry import Box2D
-from redkit.ingest import Frame, GrayImage, Scene, ValidationError, resolve_box
+from redkit.geometry import Box2D, project_cuboid
+from redkit.ingest import LABEL_SOURCES, Dataset, Frame, GrayImage, Scene, ValidationError, \
+    resolve_box
 from redkit.multisource import (
     _index_dataset,
     cosine_similarity,
@@ -270,11 +271,16 @@ def test_nan_thresholds_rejected():
 
 def test_unknown_label_source_is_rejected_without_annotations():
     # only resolve_box checked the source, so a scene without annotations
-    # let any name through
-    ds = dataset_of(Scene(scene_id="s", cameras=tuple(RING.values()),
-                          frames=(Frame(0, ()),)))
-    with pytest.raises(ValueError, match="unknown label source 'bogus'"):
-        prune_dataset(ds, GRAPH, 0.3, "bogus")
+    # let any name through, and then a per-scene check let a dataset
+    # without scenes through
+    no_annotations = dataset_of(Scene(scene_id="s", cameras=tuple(RING.values()),
+                                      frames=(Frame(0, ()),)))
+    for ds in (no_annotations, Dataset((), {})):
+        for entry in (lambda: prune_dataset(ds, GRAPH, 0.3, "bogus"),
+                      lambda: sweep_tau(ds, GRAPH, [0.3], "bogus"),
+                      lambda: group_stats(ds, GRAPH, "bogus")):
+            with pytest.raises(ValueError, match="unknown label source 'bogus'"):
+                entry()
 
 
 @pytest.mark.parametrize("cause", ["track", "timestamp", "scene"])
@@ -334,6 +340,38 @@ def test_projection_skips_the_pairs_the_screen_drops(monkeypatch):
                            "projected-3d")
     pairs = sum(len(f.annotations) for f in scene.frames) * len(scene.cameras)
     assert row.remaining <= len(calls) < pairs / 3
+
+
+@pytest.mark.parametrize("source", LABEL_SOURCES)
+def test_each_annotation_tries_its_cameras_in_name_order(monkeypatch, source):
+    # native-2d resolves exactly the stored boxes; projected-3d resolves the
+    # rig's pairs in the same order, skipping only pairs that project to no
+    # box inside the image
+    ds = chain_ring_dataset()
+    scene = ds.scenes[0]
+    calls = []
+
+    def recording_resolve_box(ann, cam, source):
+        calls.append((ann.track_id, cam.name))
+        return resolve_box(ann, cam, source)
+
+    monkeypatch.setattr(redkit.multisource, "resolve_box", recording_resolve_box)
+    prune_dataset(ds, build_overlap_graph(scene.cameras), 0.3, source)
+    pairs = [(ann, cam) for f in scene.frames for ann in f.annotations
+             for cam in sorted(scene.cameras, key=lambda c: c.name)]
+    keys = [(ann.track_id, cam.name) for ann, cam in pairs]
+    assert len(set(keys)) == len(keys)
+    if source == "native-2d":
+        assert calls == [(ann.track_id, cam.name) for ann, cam in pairs
+                         if cam.name in ann.boxes2d]
+        return
+    tried = set(calls)
+    assert calls == [key for key in keys if key in tried]
+    skipped = [(ann, cam) for ann, cam in pairs if (ann.track_id, cam.name) not in tried]
+    assert len(skipped) > len(calls)
+    for ann, cam in skipped:
+        projected = project_cuboid(ann.cuboid, cam)
+        assert projected is None or projected[1].area == 0.0
 
 
 def all_keys(ds):

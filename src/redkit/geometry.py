@@ -383,7 +383,8 @@ def iou3d(a: Cuboid3D, b: Cuboid3D) -> float:
     The ground-plane intersection is computed by clipping one footprint
     polygon against the other; the intersection volume is that area times
     the vertical extent overlap. Disjoint boxes score 0; identical boxes
-    score exactly 1.
+    score exactly 1, and rounding in the clipped polygon never lifts a
+    score above 1.
     """
     za0 = a.center[2] - 0.5 * a.size[2]
     za1 = a.center[2] + 0.5 * a.size[2]
@@ -408,7 +409,8 @@ def iou3d(a: Cuboid3D, b: Cuboid3D) -> float:
     union = vol_a + vol_b - inter
     if union <= 0.0:
         return 0.0
-    return inter / union
+    ratio = inter / union
+    return 1.0 if ratio > 1.0 else ratio
 
 
 def centroid_distance(box: Cuboid3D) -> float:

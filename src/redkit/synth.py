@@ -472,7 +472,8 @@ def reference_iou3d(a: Cuboid3D, b: Cuboid3D) -> float:
     """Reference 3D IoU, which ``redkit.geometry.iou3d`` must reproduce bit
     for bit: the same footprints, clip and areas, written as plainly as
     possible (each clip edge lists every vertex's side value first, and the
-    shoelace indexes its vertices)."""
+    shoelace indexes its vertices). A ratio that rounding lifts above 1 is
+    1; NaN stays NaN."""
     za0 = a.center[2] - 0.5 * a.size[2]
     za1 = a.center[2] + 0.5 * a.size[2]
     zb0 = b.center[2] - 0.5 * b.size[2]
@@ -494,7 +495,7 @@ def reference_iou3d(a: Cuboid3D, b: Cuboid3D) -> float:
     union = vol_a + vol_b - inter
     if union <= 0.0:
         return 0.0
-    return inter / union
+    return min(inter / union, 1.0)
 
 
 def _reference_footprint(box: Cuboid3D) -> list[tuple[float, float]]:

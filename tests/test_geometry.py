@@ -440,6 +440,15 @@ def cuboids(draw):
     )
 
 
+def test_iou3d_near_identical_boxes_stay_at_most_one():
+    # the clipped footprint of two boxes one ulp apart rounds to slightly
+    # more than either footprint's own area
+    a = Cuboid3D((3.0, 0.0, 0.0), (1.0, 1.0, 3.0), 1.0)
+    b = Cuboid3D((3.0, 1.1102230246251565e-16, 0.0), (1.0, 1.0, 3.0), 1.0)
+    assert iou3d(a, b) == 1.0
+    assert iou3d(b, a) == 1.0
+
+
 @given(cuboids(), cuboids())
 def test_iou3d_symmetric_and_bounded(a, b):
     ab = iou3d(a, b)

@@ -254,7 +254,14 @@ def cmd_sim(args: argparse.Namespace) -> dict[str, str]:
     has no report files.
 
     Each option is named after its :class:`SynthParams` field; one left
-    out, and an empty ``--yaw-offsets`` list, take the field's default."""
+    out, and an empty ``--yaw-offsets`` list, take the field's default.
+    ``--nuscenes-ring`` fixes the rig, so it rejects the ring options."""
+    ring = {"--n-cameras": args.n_cameras, "--camera-fov": args.camera_fov,
+            "--yaw-offsets": args.camera_yaw_offsets}
+    given = [option for option, value in ring.items() if value not in (None, ())]
+    if args.nuscenes_ring and given:
+        raise ValidationError("--nuscenes-ring sets its own cameras; drop "
+                              + ", ".join(given))
     params = SynthParams(**{
         f.name: getattr(args, f.name) for f in dataclasses.fields(SynthParams)
         if getattr(args, f.name) not in (None, ())})
@@ -373,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--size-range", type=_float_pair)
     p_sim.add_argument("--detection-noise", type=float)
     p_sim.add_argument("--drop-rate", type=float)
-    p_sim.add_argument("--min-overlap", type=float)
     p_sim.add_argument("--nuscenes-ring", action="store_true",
                        help="use the standard six-camera rig instead of an even ring")
 

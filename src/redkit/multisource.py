@@ -117,13 +117,6 @@ def _components(cams: Sequence[str], adjacency: Mapping[str, frozenset[str]]
     return out
 
 
-def _removed(observations: Sequence[Observation], tau: float) -> list[Observation]:
-    """The pruning rule: the observations whose score falls more than
-    ``tau`` below the group's highest score, in group order."""
-    anchor = max(o.bcs for o in observations)
-    return [o for o in observations if anchor - o.bcs > tau]
-
-
 # --------------------------------------------------------------------------
 # dataset-level pruning
 
@@ -201,29 +194,22 @@ def _normalize_pair_taus(pair_taus: Mapping | None, dataset: Dataset,
     return out
 
 
-def _effective_tau(group: RedundancyGroup, tau: float,
-                   pair_taus: dict[frozenset[str], float]) -> float:
-    """Per-group threshold: the smallest, over the group's edges, of each
-    edge's override or else ``tau``."""
-    if not pair_taus:
-        return tau
-    return min(pair_taus.get(frozenset((e.camera_a, e.camera_b)), tau)
-               for e in group.edges)
-
-
 def _removed_keys(index: _DatasetIndex, tau: float,
                   pair_taus: dict[frozenset[str], float]) -> list[LabelKey]:
+    """The pruning rule: every group's labels whose score falls more than
+    the group's threshold below its highest score, in group order. The
+    threshold is the smallest, over the group's edges, of each edge's
+    override or else ``tau``."""
     removed: list[LabelKey] = []
     for group in index.groups:
-        eff = _effective_tau(group, tau, pair_taus)
-        for o in _removed(group.observations, eff):
-            removed.append((group.scene_id, group.frame, o.camera, group.track_id))
+        threshold = tau
+        if pair_taus:
+            threshold = min(pair_taus.get(frozenset((e.camera_a, e.camera_b)), tau)
+                            for e in group.edges)
+        anchor = max(o.bcs for o in group.observations)
+        removed += [(group.scene_id, group.frame, o.camera, group.track_id)
+                    for o in group.observations if anchor - o.bcs > threshold]
     return removed
-
-
-def _row_for(index: _DatasetIndex, tau: float, removed: list[LabelKey]) -> SweepRow:
-    deleted = len(removed)
-    return SweepRow(tau, deleted, len(index.labels) - deleted, index.tracks)
 
 
 def prune_dataset(dataset: Dataset,
@@ -253,11 +239,10 @@ def prune_dataset(dataset: Dataset,
     overrides = _normalize_pair_taus(pair_taus, dataset, graph)
     index = _index_dataset(dataset, graph, source)
     removed = _removed_keys(index, tau, overrides)
-    row = _row_for(index, tau, removed)
     kept = index.labels
     for key in removed:
         del kept[key]
-    return kept, row
+    return kept, SweepRow(tau, len(removed), len(kept), index.tracks)
 
 
 def sweep_tau(dataset: Dataset,
@@ -274,10 +259,9 @@ def sweep_tau(dataset: Dataset,
         check_threshold(tau, "tau")
     overrides = _normalize_pair_taus(pair_taus, dataset, graph)
     index = _index_dataset(dataset, graph, source)
-    return [
-        _row_for(index, tau, _removed_keys(index, tau, overrides))
-        for tau in taus
-    ]
+    deleted = [len(_removed_keys(index, tau, overrides)) for tau in taus]
+    return [SweepRow(tau, d, len(index.labels) - d, index.tracks)
+            for tau, d in zip(taus, deleted)]
 
 
 def group_stats(dataset: Dataset,
@@ -368,8 +352,9 @@ def overlap_similarity(dataset: Dataset, graphs: Mapping[str, OverlapGraph],
     For every overlapping pair of every scene, the mean cosine similarity of
     the two cameras' :func:`crop_overlap` crops over the frames that have
     both images, read as ``<image_root>/<scene_id>/<timestamp_ns>/<camera>.pgm``.
-    The status is ``skipped`` when there is no image root or no frame had
-    images for any pair.
+    A pair naming a camera the scene lacks compares no frames. The status
+    is ``skipped`` when there is no image root or no frame had images for
+    any pair.
     """
     if image_root is None:
         return {"status": "skipped", "reason": "no images supplied"}
@@ -383,15 +368,21 @@ def overlap_similarity(dataset: Dataset, graphs: Mapping[str, OverlapGraph],
         pair_stats: dict[str, dict] = {}
         for pair in graphs[scene.scene_id].pairs:
             sims = []
-            for frame in scene.frames:
+            cam_a = cam_map.get(pair.camera_a)
+            cam_b = cam_map.get(pair.camera_b)
+            # a preset pair may name a camera this scene's rig lacks
+            for frame in scene.frames if cam_a and cam_b else ():
                 base = root / scene.scene_id / str(frame.timestamp_ns)
                 path_a = base / f"{pair.camera_a}.pgm"
                 path_b = base / f"{pair.camera_b}.pgm"
                 if not path_a.is_file() or not path_b.is_file():
                     continue
-                sims.append(cosine_similarity(
-                    _crop(path_a, cam_map[pair.camera_a], pair.arc),
-                    _crop(path_b, cam_map[pair.camera_b], pair.arc)))
+                crop_a = _crop(path_a, cam_a, pair.arc)
+                crop_b = _crop(path_b, cam_b, pair.arc)
+                try:
+                    sims.append(cosine_similarity(crop_a, crop_b))
+                except ValueError as exc:
+                    raise ValueError(f"{path_a}, {path_b}: {exc}") from None
             key = f"{pair.camera_a}|{pair.camera_b}"
             if sims:
                 compared += len(sims)

@@ -116,7 +116,8 @@ def build_overlap_graph(cameras: Iterable[CameraModel],
     Args:
         cameras: at least two cameras with distinct names.
         min_overlap: minimum shared degrees for a pair to become an edge;
-            must be nonnegative and finite.
+            must be nonnegative and finite. The 1 degree default, which
+            synthetic ground truth uses, drops numerically tangent pairs.
 
     Pairs are ordered lexicographically, both within each pair and across
     the list.

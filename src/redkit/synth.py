@@ -96,7 +96,6 @@ class SynthParams:
     size_range: tuple[float, float] = (1.0, 4.0)
     detection_noise: float = 0.0
     drop_rate: float = 0.0
-    min_overlap: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_cameras < 1:
@@ -123,7 +122,6 @@ class SynthParams:
         check_threshold(self.detection_noise, "detection_noise")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must be within [0, 1]")
-        check_threshold(self.min_overlap, "min_overlap")
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,9 @@ class GroundTruth:
     """What the generator knows about the scene it emitted.
 
     ``expected_groups`` lists ``(track_id, cameras)`` for every track whose
-    observing cameras contain a graph-connected subset of two or more;
+    observing cameras contain a subset of two or more connected in the
+    rig's :func:`build_overlap_graph` at its default threshold (none for a
+    one-camera rig);
     ``expected_rr`` is the pooled redundancy ratio implied by the drop list,
     exact only for zero detection noise (``None`` otherwise or when no
     objects exist).
@@ -245,7 +245,7 @@ def generate_scene(params: SynthParams,
     cams = tuple(cameras) if cameras is not None else _ring_cameras(params)
     cam_views = [(c.name, yaw_center(c), horizontal_fov(c) / 2.0) for c in cams]
     if len(cams) >= 2:
-        graph = build_overlap_graph(cams, params.min_overlap)
+        graph = build_overlap_graph(cams)
     else:
         graph = OverlapGraph(())
     adjacency = {name: set(peers) for name, peers in graph.adjacency.items()}

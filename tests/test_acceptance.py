@@ -66,7 +66,7 @@ def fixture_corpus():
                 n_frames=1 + i % 4,
             )
             ds, _ = generate_scene(params)
-            graph = build_overlap_graph(ds.scenes[0].cameras, params.min_overlap)
+            graph = build_overlap_graph(ds.scenes[0].cameras)
         assert len(label_keys(ds)) <= 1000
         corpus.append((ds, graph))
     return corpus

@@ -135,7 +135,6 @@ def test_sim_scene_bytes_are_fixed(tmp_path, rig):
     (["--detection-noise", "nan"], "detection_noise must be nonnegative and finite"),
     (["--radial-range", "4,inf"], "bad radial_range (4.0, inf)"),
     (["--size-range", "1,inf"], "bad size_range (1.0, inf)"),
-    (["--min-overlap", "inf"], "min_overlap must be nonnegative and finite"),
     (["--yaw-offsets", "inf,60,120,180,240,300"],
      "camera_yaw_offsets must be finite, got (inf, 60.0"),
     (["--yaw-offsets", "nan,60,120,180,240,300"],
@@ -148,6 +147,57 @@ def test_sim_rejects_non_finite_parameters(tmp_path, capsys, args, message):
     assert run_cli("sim", "--out", out, "--n-objects", 1, *args) == 1
     assert f"redkit sim: error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args,named", [
+    (["--n-cameras", "6"], "--n-cameras"),
+    (["--camera-fov", "70"], "--camera-fov"),
+    (["--yaw-offsets", "0,55,-55,110,-110,180"], "--yaw-offsets"),
+    (["--yaw-offsets", "0,55,-55,110,-110,180", "--camera-fov", "70", "--n-cameras", "6"],
+     "--n-cameras, --camera-fov, --yaw-offsets"),
+])
+def test_nuscenes_ring_rejects_the_ring_options(tmp_path, capsys, args, named):
+    # they used to be checked and then dropped
+    out = tmp_path / "x"
+    assert run_cli("sim", "--out", out, "--nuscenes-ring", *args) == 1
+    assert capsys.readouterr().err == (
+        f"redkit sim: error: --nuscenes-ring sets its own cameras; drop {named}\n")
+    assert not out.exists()
+
+
+# one non-default value for each sim option but --out and --help
+SIM_OPTION_VALUES = {
+    "--seed": ["1"],
+    "--n-cameras": ["5"],
+    "--camera-fov": ["80"],
+    "--yaw-offsets": ["0,50,120,180,240,300"],
+    "--n-objects": ["3"],
+    "--n-frames": ["2"],
+    "--radial-range": ["5,30"],
+    "--size-range": ["1.5,3"],
+    "--detection-noise": ["0.1"],
+    "--drop-rate": ["0.5"],
+    "--nuscenes-ring": [],
+}
+
+
+def test_every_sim_option_changes_what_sim_writes(tmp_path):
+    # an option that changes nothing is a knob that does nothing
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in sub.choices["sim"]._actions for o in a.option_strings
+               if o.startswith("--")}
+    assert options - {"--out", "--help"} == SIM_OPTION_VALUES.keys()
+
+    def written(out):
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    assert run_cli("sim", "--out", tmp_path / "default") == 0
+    default = written(tmp_path / "default")
+    for option, value in SIM_OPTION_VALUES.items():
+        out = tmp_path / option
+        assert run_cli("sim", "--out", out, option, *value) == 0
+        assert written(out) != default, option
 
 
 # --------------------------------------------------------------------- audit
@@ -265,6 +315,35 @@ def test_audit_names_the_image_it_cannot_use(tmp_path, capsys, image, message):
                    "--images", tmp_path / "img") == 1
     assert capsys.readouterr().err == f"redkit audit: error: {path}: {message}\n"
     assert not out.exists()
+
+
+def test_audit_names_both_images_of_an_all_zero_crop(tmp_path, capsys):
+    data_dir, frame_dir = image_dataset(tmp_path)
+    for name in ("CAM_A", "CAM_B"):
+        (frame_dir / f"{name}.pgm").write_bytes(b"P5 64 8 255\n" + bytes(512))
+    out = tmp_path / "audit"
+    assert run_cli("audit", "--dataset", data_dir, "--out", out,
+                   "--images", tmp_path / "img") == 1
+    assert capsys.readouterr().err == (
+        f"redkit audit: error: {frame_dir / 'CAM_A.pgm'}, {frame_dir / 'CAM_B.pgm'}: "
+        "cosine similarity undefined for an all-zero crop\n")
+    assert not out.exists()
+
+
+def test_audit_preset_with_images_skips_pairs_of_cameras_the_rig_lacks(tmp_path):
+    # a preset pair naming a camera the scene lacks used to raise KeyError
+    data_dir = tmp_path / "data"
+    assert run_cli("sim", "--out", data_dir, "--seed", 5, "--n-cameras", 4) == 0
+    frame_dir = tmp_path / "img" / "synth-0000000000000005" / "0"
+    frame_dir.mkdir(parents=True)
+    for name in ("CAM_FRONT", "CAM_FRONT_LEFT"):
+        (frame_dir / f"{name}.pgm").write_bytes(b"P5 2 2 255\n" + b"\x07" * 4)
+    out = tmp_path / "audit"
+    assert run_cli("audit", "--dataset", data_dir, "--out", out, "--images",
+                   tmp_path / "img", "--overlap-mode", "preset-nuscenes") == 0
+    report = json.loads((out / "audit.json").read_text())
+    assert report["cosine_similarity"] == {
+        "status": "skipped", "reason": "no frame had images for any pair"}
 
 
 def test_audit_histogram_covers_all_grouped_boxes(ring_dataset, tmp_path):
@@ -606,6 +685,15 @@ def test_pair_override_that_names_no_edge_fails(tmp_path, capsys, command, pair)
     assert run_cli(command, "--dataset", data_dir, "--out", out, *threshold,
                    "--pair-tau", f"{pair}=0") == 1
     assert "names no overlapping camera pair" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pair_override_must_name_two_cameras(tmp_path, capsys):
+    data_dir = known_gap_dataset(tmp_path)
+    out = tmp_path / "pruned"
+    assert run_cli("prune", "--dataset", data_dir, "--out", out, "--tau", "0.3",
+                   "--pair-tau", "CAM_FRONT:CAM_FRONT=0.1") == 1
+    assert "pair override key must name two cameras" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1325,6 +1413,18 @@ def test_bad_pair_tau_syntax_exits_cleanly(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["prune", "--dataset", str(data_dir), "--out", str(tmp_path / "o"),
               "--tau", "1.0", "--pair-tau", "CAM_FRONT=0.1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--dataset", "d", "--taus", "0.1,abc"],
+    ["sim", "--radial-range", "5"],
+])
+def test_malformed_number_lists_are_usage_errors(tmp_path, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", out)
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_console_script_is_installed():

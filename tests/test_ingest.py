@@ -83,6 +83,16 @@ def test_parse_pgm_rejects_trailing_bytes():
         parse_pgm(b"P5\n2 1\n255\n" + bytes(3))
 
 
+@pytest.mark.parametrize("data,message", [
+    (b"P5 x 2 255\n", "bad PGM header token b'x'"),
+    (b"P5 2 2 255", "PGM header not terminated by whitespace"),
+    (b"P5 0 2 255\n", "bad PGM dimensions 0x2"),
+])
+def test_parse_pgm_rejects_bad_headers(data, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_pgm(data)
+
+
 def test_serialize_pgm_header():
     img = GrayImage(np.zeros((1, 2), dtype=np.uint8))
     assert serialize_pgm(img) == b"P5\n2 1\n255\n\x00\x00"
@@ -154,6 +164,30 @@ def test_duplicate_scene_ids_rejected(tmp_path, minimal_scene_dict):
     write_scene(tmp_path, minimal_scene_dict, "b.json")
     with pytest.raises(ValidationError, match="scene-a"):
         parse_dataset(tmp_path)
+
+
+def test_scenes_must_share_one_class_map(tmp_path, minimal_scene_dict):
+    write_scene(tmp_path, minimal_scene_dict, "a.json")
+    doc = copy.deepcopy(minimal_scene_dict)
+    doc["scene_id"] = "scene-b"
+    doc["class_map"] = ["truck"]
+    write_scene(tmp_path, doc, "b.json")
+    with pytest.raises(ValidationError, match="class_map differs from the first scene's"):
+        parse_dataset(tmp_path)
+
+
+def test_duplicate_category_rejected(tmp_path, minimal_scene_dict):
+    doc = copy.deepcopy(minimal_scene_dict)
+    doc["class_map"] = ["car", "car"]
+    with pytest.raises(ValidationError, match="duplicate category in class_map"):
+        parse_dataset(write_scene(tmp_path, doc))
+
+
+def test_scene_file_must_hold_an_object(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text("[]")
+    with pytest.raises(ParseError, match="top level must be an object"):
+        parse_dataset(path)
 
 
 def test_timestamps_must_increase(tmp_path, minimal_scene_dict):
@@ -453,6 +487,15 @@ def test_write_then_parse_round_trips(tmp_path):
     assert len(paths) == 1
     again = parse_dataset(tmp_path)
     assert again == ds
+
+
+def test_a_scene_file_holds_one_scene(tmp_path, minimal_scene_dict):
+    one = parse_dataset(write_scene(tmp_path, minimal_scene_dict)).scenes[0]
+    two = dataclasses.replace(one, scene_id="scene-b")
+    target = tmp_path / "out" / "both.json"
+    with pytest.raises(ValueError, match="a single scene file can hold exactly one scene"):
+        write_dataset(dataset_of(one, two, class_map={"car": 0}), target)
+    assert not target.parent.exists()
 
 
 def test_round_trip_is_byte_stable(tmp_path):

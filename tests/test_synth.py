@@ -197,7 +197,7 @@ def test_ground_truth_groups_match_production(seed):
                          camera_fov=65.0 + (seed % 4) * 5.0)
     ds, truth = generate_scene(params)
     scene = ds.scenes[0]
-    graph = build_overlap_graph(scene.cameras, params.min_overlap)
+    graph = build_overlap_graph(scene.cameras)
     produced = [
         (group.track_id, frozenset(o.camera for o in group.observations))
         for group in _index_dataset(ds, graph, "native-2d").groups
@@ -212,7 +212,7 @@ def test_ground_truth_groups_match_production(seed):
 def test_brute_force_prune_agrees(seed):
     params = SynthParams(seed=seed, n_objects=14, n_frames=3)
     ds, _ = generate_scene(params)
-    graph = build_overlap_graph(ds.scenes[0].cameras, params.min_overlap)
+    graph = build_overlap_graph(ds.scenes[0].cameras)
     for tau in (0.0, 0.3, 0.7, 1.0):
         kept, _ = prune_dataset(ds, graph, tau)
         assert kept.keys() == brute_force_prune(ds, graph, tau)
@@ -341,8 +341,7 @@ def test_params_validation():
         SynthParams(seed=1, n_objects=-1)
     # NaN used to pass as no noise, and infinities became NaN coordinates
     for bad in ({"detection_noise": math.nan}, {"detection_noise": math.inf},
-                {"radial_range": (4.0, math.inf)}, {"size_range": (1.0, math.inf)},
-                {"min_overlap": math.nan}, {"min_overlap": math.inf}):
+                {"radial_range": (4.0, math.inf)}, {"size_range": (1.0, math.inf)}):
         with pytest.raises(ValueError):
             SynthParams(seed=1, **bad)
 

@@ -12,7 +12,7 @@ from redkit.synth import camera_at_yaw, nuscenes_like_cameras
 def show_graph(title, graph):
     print(f"\n{title}")
     print(f"{'pair':42s} {'overlap':>8s}  arc (deg)")
-    for pair in graph:
+    for pair in graph.pairs:
         name = f"{pair.camera_a} / {pair.camera_b}"
         start, end = pair.arc
         print(f"{name:42s} {pair.overlap_degrees:7.2f}°  [{start:.1f}, {end:.1f}]")

@@ -276,6 +276,10 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height})"
 
 
+# whitespace and ``#`` comments, then one header token
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
+
 def parse_pgm(data: bytes) -> GrayImage:
     """Decode a binary PGM (magic ``P5``, maxval 255).
 
@@ -287,20 +291,17 @@ def parse_pgm(data: bytes) -> GrayImage:
         raise ParseError("not a binary PGM: expected magic 'P5'")
     pos = 2
     fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
+    for _ in range(3):
+        match = _PGM_TOKEN.match(data, pos)
+        token = match[1]
         if not token.isdigit():
             raise ParseError(f"bad PGM header token {token!r}")
-        fields.append(int(token))
+        try:
+            fields.append(int(token))
+        except ValueError:
+            raise ParseError(
+                f"PGM header number too long: {len(token)} digits") from None
+        pos = match.end()
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise ParseError("PGM header not terminated by whitespace")
     pos += 1

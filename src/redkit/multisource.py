@@ -16,11 +16,11 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .geometry import CameraModel, angle_to_column, bcs, check_threshold, \
-    frustum_screen, horizontal_fov, normalize_deg, yaw_center
+    frustum_screen, normalize_deg
 from .geometry import Box2D
 from .ingest import LABEL_SOURCES, Annotation, Dataset, GrayImage, Scene, ValidationError, \
     parse_pgm, resolve_box
-from .overlap import OverlapGraph, OverlapPair
+from .overlap import OverlapGraph, OverlapPair, view_arc
 
 # (scene_id, timestamp_ns, camera, track_id)
 LabelKey = tuple[str, int, str, str]
@@ -322,8 +322,9 @@ def crop_overlap(img: GrayImage, cam: CameraModel,
     span = end - start
     if span <= 0.0 or span > 360.0:
         raise ValueError(f"bad arc {arc!r}: end must exceed start by at most 360")
-    half = horizontal_fov(cam) / 2.0
-    rel = normalize_deg(start - yaw_center(cam))
+    view = view_arc(cam)
+    half = view.half_width
+    rel = normalize_deg(start - view.center)
     lo = hi = None
     for shift in (rel - 360.0, rel, rel + 360.0):
         cand_lo = max(shift, -half)

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .geometry import CameraModel, check_threshold, horizontal_fov, \
     normalize_deg, yaw_center
@@ -58,7 +58,12 @@ class OverlapPair:
 
 @dataclass(frozen=True)
 class OverlapGraph:
-    """Undirected camera-pair graph with per-edge overlap arcs."""
+    """Undirected camera-pair graph with per-edge overlap arcs.
+
+    It is read through ``pairs``, its edges in order, and ``adjacency``,
+    each camera's peers. A rig with fewer than two cameras, or with no
+    overlapping pair, has no pairs.
+    """
 
     pairs: tuple[OverlapPair, ...]
 
@@ -69,12 +74,6 @@ class OverlapGraph:
             adj.setdefault(p.camera_a, set()).add(p.camera_b)
             adj.setdefault(p.camera_b, set()).add(p.camera_a)
         return {name: frozenset(peers) for name, peers in adj.items()}
-
-    def __iter__(self) -> Iterator[OverlapPair]:
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 def view_arc(cam: CameraModel) -> ViewArc:
@@ -114,7 +113,8 @@ def build_overlap_graph(cameras: Iterable[CameraModel],
     """Build the overlap graph of a rig from camera calibrations.
 
     Args:
-        cameras: at least two cameras with distinct names.
+        cameras: any number of cameras with distinct names; fewer than two
+            give a graph with no pairs.
         min_overlap: minimum shared degrees for a pair to become an edge;
             must be nonnegative and finite. The 1 degree default, which
             synthetic ground truth uses, drops numerically tangent pairs.
@@ -124,8 +124,6 @@ def build_overlap_graph(cameras: Iterable[CameraModel],
     """
     check_threshold(min_overlap, "min_overlap")
     cams = sorted(cameras, key=lambda c: c.name)
-    if len(cams) < 2:
-        raise ValueError("an overlap graph needs at least two cameras")
     names = [c.name for c in cams]
     if len(set(names)) != len(names):
         raise ValueError("camera names must be unique")

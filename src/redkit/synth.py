@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import AbstractSet, Any, Mapping, Sequence
 
 from .geometry import (
     Box2D,
@@ -23,16 +23,14 @@ from .geometry import (
     CameraModel,
     Cuboid3D,
     check_threshold,
-    horizontal_fov,
     iou3d,
     normalize_deg,
     project_cuboid,
     quat_about_z,
     quat_mul,
-    yaw_center,
 )
 from .ingest import Annotation, Dataset, Frame, Scene
-from .overlap import OverlapGraph, build_overlap_graph
+from .overlap import OverlapGraph, build_overlap_graph, view_arc
 
 _MASK64 = (1 << 64) - 1
 _SEED_FALLBACK = 0x9E3779B97F4A7C15
@@ -193,7 +191,7 @@ def _ring_cameras(params: SynthParams) -> tuple[CameraModel, ...]:
 
 
 def _graph_components(members: Sequence[str],
-                      adjacency: Mapping[str, set[str]]) -> list[frozenset[str]]:
+                      adjacency: Mapping[str, AbstractSet[str]]) -> list[frozenset[str]]:
     present = set(members)
     seen: set[str] = set()
     comps = []
@@ -243,26 +241,20 @@ def generate_scene(params: SynthParams,
     """
     rng = Xorshift64Star(params.seed)
     cams = tuple(cameras) if cameras is not None else _ring_cameras(params)
-    cam_views = [(c.name, yaw_center(c), horizontal_fov(c) / 2.0) for c in cams]
-    if len(cams) >= 2:
-        graph = build_overlap_graph(cams)
-    else:
-        graph = OverlapGraph(())
-    adjacency = {name: set(peers) for name, peers in graph.adjacency.items()}
+    arcs = [view_arc(c) for c in cams]
+    adjacency = build_overlap_graph(cams).adjacency
 
     frames = []
     expected_visibility: dict[str, frozenset[str]] = {}
     expected_distances: dict[str, float] = {}
     rr_per_frame: list[float | None] = []
     kept_total = 0
-    object_total = 0
 
     for fi in range(params.n_frames):
         placed: list[tuple[float, float, float]] = []
         annotations = []
         base_set: list[Box3D] = []
         lidar_set: list[Box3D] = []
-        frame_objects = 0
         frame_kept = 0
         for oi in range(params.n_objects):
             for _ in range(200):
@@ -294,15 +286,15 @@ def generate_scene(params: SynthParams,
 
             visible = []
             boxes2d = {}
-            for cam, (name, view_yaw, half) in zip(cams, cam_views):
-                rel = normalize_deg(bearing - view_yaw)
-                if abs(rel) >= half:
+            for cam, arc in zip(cams, arcs):
+                rel = normalize_deg(bearing - arc.center)
+                if abs(rel) >= arc.half_width:
                     continue
-                visible.append(name)
+                visible.append(cam.name)
                 u = cam.cx + cam.fx * math.tan(math.radians(rel))
                 su = cam.fx * (0.5 * math.hypot(length, width)) / radius
                 sv = cam.fy * (0.5 * height) / radius
-                boxes2d[name] = Box2D(u - su, cam.cy - sv, u + su, cam.cy + sv)
+                boxes2d[cam.name] = Box2D(u - su, cam.cy - sv, u + su, cam.cy + sv)
 
             annotations.append(Annotation(
                 track_id=track_id,
@@ -315,7 +307,6 @@ def generate_scene(params: SynthParams,
                 radius * radius + (height / 2.0) ** 2)
 
             base_set.append(Box3D(center, size, obj_yaw, score))
-            frame_objects += 1
             if rng.random() >= params.drop_rate:
                 if params.detection_noise > 0.0:
                     jx = rng.uniform(-params.detection_noise, params.detection_noise)
@@ -327,9 +318,8 @@ def generate_scene(params: SynthParams,
                 lidar_set.append(Box3D(jittered, size, obj_yaw, score))
                 frame_kept += 1
 
-        object_total += frame_objects
         kept_total += frame_kept
-        rr_per_frame.append(frame_kept / frame_objects if frame_objects else None)
+        rr_per_frame.append(frame_kept / params.n_objects if params.n_objects else None)
         frames.append(Frame(
             timestamp_ns=fi * 100_000_000,
             annotations=tuple(annotations),
@@ -348,8 +338,8 @@ def generate_scene(params: SynthParams,
             if len(comp) >= 2:
                 expected_groups.append((track_id, comp))
 
-    if object_total > 0 and params.detection_noise == 0.0:
-        expected_rr: float | None = kept_total / object_total
+    if params.n_objects > 0 and params.detection_noise == 0.0:
+        expected_rr: float | None = kept_total / (params.n_objects * params.n_frames)
     else:
         expected_rr = None
 

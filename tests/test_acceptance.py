@@ -19,7 +19,7 @@ from redkit.geometry import Box2D, Cuboid3D, bcs, cuboid_corners, iou3d
 from redkit.ingest import write_dataset
 from redkit.multimodal import match_frame, pooled_sweep, welch_t_test
 from redkit.multisource import prune_dataset, sweep_tau
-from redkit.overlap import OverlapGraph, build_overlap_graph, preset_nuscenes
+from redkit.overlap import build_overlap_graph, preset_nuscenes
 from redkit.synth import (
     SynthParams,
     brute_force_prune,
@@ -51,7 +51,7 @@ def fixture_corpus():
             params = SynthParams(seed=seed, n_cameras=1, n_objects=6 + i % 9,
                                  n_frames=1 + i % 3)
             ds, _ = generate_scene(params)
-            graph = OverlapGraph(())
+            graph = build_overlap_graph(ds.scenes[0].cameras)
         elif i % 5 == 0:
             params = SynthParams(seed=seed, n_objects=4 + i % 21,
                                  n_frames=1 + i % 4, drop_rate=0.2)
@@ -127,14 +127,14 @@ def test_criterion_04_track_set_invariant_across_taus(fixture_corpus):
 
 def test_criterion_05_nuscenes_preset_and_calibration_agreement():
     preset = preset_nuscenes()
-    assert len(preset) == 6
-    angles = sorted(round(p.overlap_degrees, 9) for p in preset)
+    assert len(preset.pairs) == 6
+    angles = sorted(round(p.overlap_degrees, 9) for p in preset.pairs)
     assert angles == [15.0, 15.0, 15.0, 15.0, 20.0, 20.0]
     derived = build_overlap_graph(nuscenes_like_cameras())
     preset_map = {tuple(sorted((p.camera_a, p.camera_b))): p.overlap_degrees
-                  for p in preset}
+                  for p in preset.pairs}
     derived_map = {tuple(sorted((p.camera_a, p.camera_b))): p.overlap_degrees
-                   for p in derived}
+                   for p in derived.pairs}
     assert set(derived_map) == set(preset_map)
     for key, want in preset_map.items():
         assert abs(derived_map[key] - want) <= 1e-6

@@ -200,6 +200,28 @@ def test_every_sim_option_changes_what_sim_writes(tmp_path):
         assert written(out) != default, option
 
 
+# a rig of one camera, and a ring whose cameras share no view, have no pairs
+EMPTY_GRAPH_RIGS = [["--n-cameras", "1"], ["--n-cameras", "2", "--camera-fov", "20"]]
+
+
+@pytest.mark.parametrize(
+    "sim_args",
+    [[option, *value] for option, value in SIM_OPTION_VALUES.items()] + EMPTY_GRAPH_RIGS,
+    ids=" ".join)
+def test_every_command_reads_every_scene_sim_writes(tmp_path, sim_args):
+    data = tmp_path / "data"
+    assert run_cli("sim", "--out", data, *sim_args) == 0
+    for source in ("native-2d", "projected-3d"):
+        for command in (["audit"], ["prune", "--tau", "0.3"], ["sweep", "--taus", "0.1,0.3"]):
+            out = tmp_path / f"{command[0]}-{source}"
+            assert run_cli(*command, "--dataset", data, "--out", out,
+                           "--label-source", source) == 0, (command, source)
+        if sim_args in EMPTY_GRAPH_RIGS:
+            report = json.loads((tmp_path / f"prune-{source}" / "prune_report.json").read_text())
+            assert report["deleted"] == 0
+    assert run_cli("mm", "--dataset", data, "--out", tmp_path / "mm") == 0
+
+
 # --------------------------------------------------------------------- audit
 
 
@@ -1290,19 +1312,34 @@ def calls_by_function(module, names):
     return found
 
 
+def redkit_modules():
+    modules = [redkit] + [importlib.import_module(f"redkit.{m.name}")
+                          for m in pkgutil.iter_modules(redkit.__path__)]
+    assert "redkit.cli" in {m.__name__ for m in modules}
+    return modules
+
+
 def test_only_write_files_creates_directories_or_opens_files_for_writing():
     # one writer for every file: commands return their files and main writes
     # them, so no command can create --out before a check of its own fails,
     # and every file is written in place by the same code
     writes = {"mkdir", "makedirs", "open", "write_text", "write_bytes"}
-    modules = [redkit] + [importlib.import_module(f"redkit.{m.name}")
-                          for m in pkgutil.iter_modules(redkit.__path__)]
-    assert "redkit.cli" in {m.__name__ for m in modules}
-    writers = {(m.__name__, where) for m in modules
+    writers = {(m.__name__, where) for m in redkit_modules()
                for where, _ in calls_by_function(m, writes)}
     assert writers == {("redkit.ingest", "write_files")}
     assert calls_by_function(redkit.cli, {"write_files", "truncate", "write_dataset"}) == {
         ("main", "write_files"), ("main", "truncate"), ("cmd_sim", "write_dataset")}
+
+
+def test_only_overlap_view_arc_turns_a_camera_into_an_arc():
+    # one arc formula: outside geometry, which defines them, only
+    # overlap.view_arc reads a camera's optical-axis yaw and field of view
+    arc_parts = {"yaw_center", "horizontal_fov"}
+    callers = {(m.__name__, where, name) for m in redkit_modules()
+               if m.__name__ != "redkit.geometry"
+               for where, name in calls_by_function(m, arc_parts)}
+    assert callers == {("redkit.overlap", "view_arc", "yaw_center"),
+                       ("redkit.overlap", "view_arc", "horizontal_fov")}
 
 
 def test_unsafe_scene_id_writes_nothing_outside_out(tmp_path, capsys):

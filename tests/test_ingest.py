@@ -87,6 +87,8 @@ def test_parse_pgm_rejects_trailing_bytes():
     (b"P5 x 2 255\n", "bad PGM header token b'x'"),
     (b"P5 2 2 255", "PGM header not terminated by whitespace"),
     (b"P5 0 2 255\n", "bad PGM dimensions 0x2"),
+    pytest.param(b"P5 " + b"9" * 5000 + b" 2 255\n",
+                 "PGM header number too long: 5000 digits", id="long-number"),
 ])
 def test_parse_pgm_rejects_bad_headers(data, message):
     with pytest.raises(ParseError, match=re.escape(message)):

@@ -224,7 +224,7 @@ def test_no_overlap_graph_means_no_deletion():
     from redkit.overlap import build_overlap_graph
 
     graph = build_overlap_graph(cams, min_overlap=0.0)
-    assert len(graph) == 0
+    assert graph.pairs == ()
     scene = scene_with_boxes(
         cams, [{"t": {"CAM_A": BOX, "CAM_B": BOX}}]
     )

@@ -92,10 +92,10 @@ def test_graph_pair_count_bound_and_monotone_filtering():
     cams = nuscenes_like_cameras()
     n = len(cams)
     loose = build_overlap_graph(cams, min_overlap=0.0)
-    assert len(loose) <= n * (n - 1) // 2
-    previous = len(loose)
+    assert len(loose.pairs) <= n * (n - 1) // 2
+    previous = len(loose.pairs)
     for threshold in (1.0, 10.0, 16.0, 25.0):
-        count = len(build_overlap_graph(cams, min_overlap=threshold))
+        count = len(build_overlap_graph(cams, min_overlap=threshold).pairs)
         assert count <= previous
         previous = count
 
@@ -103,22 +103,22 @@ def test_graph_pair_count_bound_and_monotone_filtering():
 def test_identical_cameras_overlap_fully():
     cams = [camera_at_yaw("A", 0.0, 70.0), camera_at_yaw("B", 0.0, 70.0)]
     graph = build_overlap_graph(cams)
-    assert len(graph) == 1
-    pair = next(iter(graph))
+    assert len(graph.pairs) == 1
+    pair = graph.pairs[0]
     fov = horizontal_fov(cams[0])
     assert pair.overlap_degrees == pytest.approx(fov, abs=1e-9)
 
 
 def test_high_threshold_empties_nuscenes_ring():
     graph = build_overlap_graph(nuscenes_like_cameras(), min_overlap=25.0)
-    assert len(graph) == 0
+    assert graph.pairs == ()
 
 
 def test_preset_nuscenes_pairs():
     graph = preset_nuscenes()
-    assert len(graph) == 6
+    assert len(graph.pairs) == 6
     seen = {}
-    for pair in graph:
+    for pair in graph.pairs:
         key = tuple(sorted((pair.camera_a, pair.camera_b)))
         seen[key] = (pair.overlap_degrees, pair.arc)
     assert set(seen) == set(NUSCENES_PAIRS)
@@ -126,14 +126,14 @@ def test_preset_nuscenes_pairs():
         got_degrees, got_arc = seen[key]
         assert got_degrees == pytest.approx(degrees, abs=1e-9)
         assert got_arc == pytest.approx(arc, abs=1e-9)
-    angles = sorted(round(pair.overlap_degrees, 6) for pair in graph)
+    angles = sorted(round(pair.overlap_degrees, 6) for pair in graph.pairs)
     assert angles == [15.0, 15.0, 15.0, 15.0, 20.0, 20.0]
 
 
 def test_calibration_ring_reproduces_preset():
     derived = build_overlap_graph(nuscenes_like_cameras())
-    preset = {tuple(sorted((p.camera_a, p.camera_b))): p for p in preset_nuscenes()}
-    got = {tuple(sorted((p.camera_a, p.camera_b))): p for p in derived}
+    preset = {tuple(sorted((p.camera_a, p.camera_b))): p for p in preset_nuscenes().pairs}
+    got = {tuple(sorted((p.camera_a, p.camera_b))): p for p in derived.pairs}
     assert set(got) == set(preset)
     for key in preset:
         assert got[key].overlap_degrees == pytest.approx(
@@ -156,9 +156,9 @@ def test_graph_rejects_negative_or_nan_min_overlap(min_overlap):
         build_overlap_graph(nuscenes_like_cameras(), min_overlap=min_overlap)
 
 
-def test_graph_requires_two_cameras_and_unique_names():
-    with pytest.raises(ValueError):
-        build_overlap_graph([camera_at_yaw("A", 0.0)])
+def test_small_rigs_have_empty_graphs_and_names_must_be_unique():
+    assert build_overlap_graph([]) == OverlapGraph(())
+    assert build_overlap_graph([camera_at_yaw("A", 0.0)]) == OverlapGraph(())
     with pytest.raises(ValueError):
         build_overlap_graph([camera_at_yaw("A", 0.0), camera_at_yaw("A", 10.0)])
 

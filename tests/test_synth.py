@@ -310,9 +310,7 @@ def test_single_camera_scene_prunes_nothing():
     params = SynthParams(seed=8, n_cameras=1, n_objects=10, n_frames=2)
     ds, truth = generate_scene(params)
     assert truth.expected_groups == ()
-    from redkit.overlap import OverlapGraph
-
-    kept, row = prune_dataset(ds, OverlapGraph(()), tau=0.0)
+    kept, row = prune_dataset(ds, build_overlap_graph(ds.scenes[0].cameras), tau=0.0)
     assert row.deleted == 0
 
 

@@ -284,8 +284,9 @@ def parse_pgm(data: bytes) -> GrayImage:
     """Decode a binary PGM (magic ``P5``, maxval 255).
 
     Header comments (``#`` to end of line) are allowed. Anything else, wrong
-    magic, other maxvals, or a short or over-long pixel payload, is a
-    ``ParseError``.
+    magic, a header number of more than 18 significant digits, other
+    maxvals, or a short or over-long pixel payload, is a ``ParseError``
+    whose message quotes at most the first 16 bytes of a bad token.
     """
     if not data.startswith(b"P5"):
         raise ParseError("not a binary PGM: expected magic 'P5'")
@@ -295,12 +296,15 @@ def parse_pgm(data: bytes) -> GrayImage:
         match = _PGM_TOKEN.match(data, pos)
         token = match[1]
         if not token.isdigit():
-            raise ParseError(f"bad PGM header token {token!r}")
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise ParseError(
-                f"PGM header number too long: {len(token)} digits") from None
+            shown = repr(token[:16])
+            if len(token) > 16:
+                shown += f"... ({len(token)} bytes)"
+            raise ParseError(f"bad PGM header token {shown}")
+        number = token.lstrip(b"0") or b"0"
+        # no valid size or maxval has more digits; the message stays short
+        if len(number) > 18:
+            raise ParseError(f"PGM header number too long: {len(number)} digits")
+        fields.append(int(number))
         pos = match.end()
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise ParseError("PGM header not terminated by whitespace")

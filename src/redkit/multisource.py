@@ -308,10 +308,11 @@ def crop_overlap(img: GrayImage, cam: CameraModel,
                  arc: tuple[float, float]) -> GrayImage:
     """Cut the pixel columns a shared arc covers in one camera's image.
 
-    ``arc`` is ``(start, end)`` in ego degrees (``end >= start``, the pair
-    may represent a seam crossing as ``end > 180``). The arc is intersected
-    with the camera's own view arc; an empty intersection is an error. The
-    crop spans the full image height.
+    ``arc`` is ``(start, end)`` in ego degrees with ``0 < end - start <=
+    180`` (the pair may represent a seam crossing as ``end > 180``). The arc
+    is intersected with the camera's own view arc, which is narrower than a
+    semicircle, so they meet in at most one region; an empty intersection
+    is an error. The crop spans the full image height.
     """
     if img.width != cam.width:
         raise ValueError(
@@ -320,18 +321,18 @@ def crop_overlap(img: GrayImage, cam: CameraModel,
         )
     start, end = arc
     span = end - start
-    if span <= 0.0 or span > 360.0:
-        raise ValueError(f"bad arc {arc!r}: end must exceed start by at most 360")
+    if span <= 0.0 or span > 180.0:
+        raise ValueError(f"bad arc {arc!r}: end must exceed start by at most 180")
     view = view_arc(cam)
     half = view.half_width
     rel = normalize_deg(start - view.center)
-    lo = hi = None
-    for shift in (rel - 360.0, rel, rel + 360.0):
-        cand_lo = max(shift, -half)
-        cand_hi = min(shift + span, half)
-        if cand_hi > cand_lo and (lo is None or cand_hi - cand_lo > hi - lo):
-            lo, hi = cand_lo, cand_hi
-    if lo is None:
+    # an arc that wraps past the seam meets the view one turn back
+    for shift in (rel - 360.0, rel):
+        lo = max(shift, -half)
+        hi = min(shift + span, half)
+        if hi > lo:
+            break
+    else:
         raise ValueError(
             f"arc {arc!r} does not intersect the view of camera {cam.name!r}"
         )
@@ -341,8 +342,6 @@ def crop_overlap(img: GrayImage, cam: CameraModel,
     hi = min(hi, half - eps)
     c0 = angle_to_column(lo, cam)
     c1 = angle_to_column(hi, cam)
-    if c1 < c0:
-        c0, c1 = c1, c0
     return GrayImage(img.pixels[:, c0 : c1 + 1])
 
 

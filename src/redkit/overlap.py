@@ -3,12 +3,12 @@
 Each camera is reduced to a circular arc on the ego viewing circle (yaw of
 the optical axis plus half the horizontal field of view to each side).
 Pairwise arc intersection, with wraparound at the -180/180 seam, yields an
-overlap graph that downstream grouping walks.
+overlap graph that downstream grouping walks. A pinhole camera sees less
+than a semicircle, so two cameras share at most one arc.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -23,7 +23,9 @@ class ViewArc:
     """A camera's angular coverage on the ego viewing circle.
 
     ``center`` is the optical-axis yaw in degrees, normalized to
-    ``[-180, 180)``; ``half_width`` is half the horizontal field of view.
+    ``[-180, 180)``; ``half_width`` is half the horizontal field of view,
+    in ``(0, 90]`` as a pinhole camera's is (exactly 90 only when ``atan``
+    rounds to a right angle).
     """
 
     camera: str
@@ -31,9 +33,9 @@ class ViewArc:
     half_width: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.half_width < 180.0:
+        if not 0.0 < self.half_width <= 90.0:
             raise ValueError(
-                f"arc {self.camera!r}: half width must be in (0, 180), got {self.half_width}"
+                f"arc {self.camera!r}: half width must be in (0, 90], got {self.half_width}"
             )
         if not -180.0 <= self.center < 180.0:
             raise ValueError(
@@ -85,25 +87,15 @@ def overlap_arc(a: ViewArc, b: ViewArc) -> tuple[float, tuple[float, float]] | N
     """Intersect two viewing arcs on the circle.
 
     Returns ``(overlap_degrees, (start, end))`` or ``None`` when the arcs are
-    disjoint. Arcs wider than a semicircle can intersect in two disjoint
-    regions; the wider region is returned and a warning is issued.
+    disjoint. Neither arc is wider than a semicircle, so they meet in at
+    most one region, found in ``a``'s frame with ``b`` at its nearest turn.
     """
     delta = normalize_deg(b.center - a.center)
-    candidates = []
-    for shift in (delta - 360.0, delta, delta + 360.0):
-        lo = max(-a.half_width, shift - b.half_width)
-        hi = min(a.half_width, shift + b.half_width)
-        if hi > lo:
-            candidates.append((hi - lo, lo, hi))
-    if not candidates:
+    lo = max(-a.half_width, delta - b.half_width)
+    hi = min(a.half_width, delta + b.half_width)
+    if hi <= lo:
         return None
-    if len(candidates) > 1:
-        warnings.warn(
-            f"arcs {a.camera!r} and {b.camera!r} intersect in two regions; "
-            "keeping the wider one",
-            stacklevel=2,
-        )
-    width, lo, _ = max(candidates)
+    width = hi - lo
     start = normalize_deg(a.center + lo)
     return width, (start, start + width)
 

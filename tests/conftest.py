@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from redkit.geometry import Box2D, CameraModel
-from redkit.ingest import Annotation, Dataset, Frame, Scene
+from redkit.ingest import Annotation, Dataset, Frame, GrayImage, Scene, serialize_pgm
 from redkit.synth import (
     SynthParams,
     camera_at_yaw,
@@ -134,3 +135,43 @@ def fuzz_base(tmp_path_factory):
     doc = json.loads(json.dumps(scene_to_dict(ds.scenes[0], ds.class_map)))
     target = tmp_path_factory.mktemp("fuzz") / "scene.json"
     return doc, sorted(json_paths(doc), key=repr), target
+
+
+PGM_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+@st.composite
+def pgm_mutants(draw, base=None):
+    """A small valid PGM from ``serialize_pgm`` (or ``base``), then one to
+    three edits: byte flips, cuts, long digit or non-space runs spliced into
+    the header, and inserted comments."""
+    if base is None:
+        w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        pixels = draw(st.binary(min_size=w * h, max_size=w * h))
+        base = serialize_pgm(GrayImage(np.frombuffer(pixels, np.uint8).reshape(h, w)))
+    data = bytearray(base)
+    header_end = base.index(b"\n255\n") + 5
+    lengths = st.sampled_from([1, 2, 17, 18, 19, 40, 4000, 5000]) | st.integers(1, 64)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["flip", "cut", "digits", "non-space", "comment"]))
+        if edit == "flip":
+            if data:
+                data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+            continue
+        if edit == "cut":
+            at = draw(st.integers(0, len(data)))
+            del data[at:draw(st.integers(at, len(data)))]
+            continue
+        if edit == "digits":
+            run = bytes([draw(st.sampled_from(b"0123456789"))]) * draw(lengths)
+        elif edit == "non-space":
+            unit = draw(st.binary(min_size=1, max_size=4)).translate(None, PGM_WHITESPACE)
+            n = draw(lengths)
+            run = ((unit or b"x") * n)[:n]
+        else:
+            text = draw(st.binary(max_size=20)).translate(None, b"\r\n")
+            run = b"#" + text + draw(st.sampled_from([b"\n", b"\r", b""]))
+        # after the magic, so most splices reach the header number reader
+        at = draw(st.integers(min(2, len(data)), min(header_end, len(data))))
+        data[at:at] = run
+    return bytes(data)

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 import redkit
 import redkit.cli
-from conftest import box_with_bcs, dataset_of, holder, json_values, scene_with_boxes
+from conftest import box_with_bcs, dataset_of, holder, json_values, pgm_mutants, \
+    scene_with_boxes
 from redkit.cli import build_parser, main
 from redkit.geometry import Box2D, Box3D, centroid_distance
 from redkit.ingest import Frame, Scene, ValidationError, parse_dataset, write_dataset
@@ -350,6 +351,42 @@ def test_audit_names_both_images_of_an_all_zero_crop(tmp_path, capsys):
         f"redkit audit: error: {frame_dir / 'CAM_A.pgm'}, {frame_dir / 'CAM_B.pgm'}: "
         "cosine similarity undefined for an all-zero crop\n")
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def image_scene(tmp_path_factory):
+    """``image_dataset``'s scene directory and its two images' bytes."""
+    data_dir, frame_dir = image_dataset(tmp_path_factory.mktemp("images"))
+    return data_dir, {p.name: p.read_bytes() for p in sorted(frame_dir.iterdir())}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_audit_any_mutated_image_runs_or_fails_in_one_line(image_scene, data):
+    data_dir, images = image_scene
+    name = data.draw(st.sampled_from(sorted(images)), label="image")
+    mutant = data.draw(pgm_mutants(images[name]), label="mutant")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        frame_dir = root / "img" / "s0" / "0"
+        frame_dir.mkdir(parents=True)
+        for image, content in images.items():
+            (frame_dir / image).write_bytes(mutant if image == name else content)
+        out = root / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run_cli("audit", "--dataset", data_dir, "--out", out,
+                           "--images", root / "img")
+        lines = stderr.getvalue().splitlines()
+        assert (code, len(lines)) in ((0, 0), (1, 1))
+        if code == 1:
+            assert lines[0].startswith(f"redkit audit: error: {frame_dir}")
+            assert not out.exists()
+        # only --out was written to
+        assert {p.name for p in root.iterdir()} <= {"img", "out"}
+        assert {p.name: p.read_bytes() for p in frame_dir.iterdir()} == {
+            image: mutant if image == name else content
+            for image, content in images.items()}
 
 
 def test_audit_preset_with_images_skips_pairs_of_cameras_the_rig_lacks(tmp_path):

@@ -17,6 +17,7 @@ from conftest import (
     dataset_of,
     holder,
     json_values,
+    pgm_mutants,
     scene_with_boxes,
     two_overlapping_cameras,
 )
@@ -89,10 +90,44 @@ def test_parse_pgm_rejects_trailing_bytes():
     (b"P5 0 2 255\n", "bad PGM dimensions 0x2"),
     pytest.param(b"P5 " + b"9" * 5000 + b" 2 255\n",
                  "PGM header number too long: 5000 digits", id="long-number"),
+    # numbers under Python's conversion limit are not quoted whole either
+    pytest.param(b"P5 2 1 " + b"9" * 4000 + b"\n",
+                 "PGM header number too long: 4000 digits", id="long-maxval"),
+    pytest.param(b"P5 " + b"2" * 4000 + b" 1 255\n",
+                 "PGM header number too long: 4000 digits", id="long-width"),
+    pytest.param(b"P5 " + b"1" * 19 + b" 1 255\n",
+                 "PGM header number too long: 19 digits", id="19-digits"),
+    pytest.param(b"P5 " + b"x" * 5000 + b" 2 255\n",
+                 "bad PGM header token b'xxxxxxxxxxxxxxxx'... (5000 bytes)",
+                 id="long-token"),
 ])
 def test_parse_pgm_rejects_bad_headers(data, message):
-    with pytest.raises(ParseError, match=re.escape(message)):
+    with pytest.raises(ParseError) as excinfo:
         parse_pgm(data)
+    assert str(excinfo.value) == message
+
+
+def test_parse_pgm_counts_significant_digits():
+    # leading zeros are not digits of the number: 18 significant digits
+    # reach the payload check, whatever the padding
+    img = parse_pgm(b"P5 " + b"0" * 6000 + b"2 1 0255\n\x00\x07")
+    assert img == GrayImage(np.array([[0, 7]], dtype=np.uint8))
+    with pytest.raises(ParseError) as excinfo:
+        parse_pgm(b"P5 00" + b"9" * 18 + b" 1 255\n")
+    assert str(excinfo.value) == (
+        "truncated PGM payload: 0 bytes, expected 999999999999999999")
+
+
+@settings(max_examples=300, deadline=None)
+@given(pgm_mutants())
+def test_parse_pgm_any_mutant_parses_or_fails_in_one_short_line(data):
+    try:
+        img = parse_pgm(data)
+    except ParseError as exc:
+        message = str(exc)
+        assert "\n" not in message and len(message) <= 120
+    else:
+        assert parse_pgm(serialize_pgm(img)) == img
 
 
 def test_serialize_pgm_header():

@@ -8,7 +8,7 @@ import pytest
 
 import redkit.multisource
 from conftest import box_with_bcs, chain_ring_dataset, dataset_of, scene_with_boxes
-from redkit.geometry import Box2D, project_cuboid
+from redkit.geometry import Box2D, angle_to_column, project_cuboid
 from redkit.ingest import LABEL_SOURCES, Dataset, Frame, GrayImage, Scene, ValidationError, \
     resolve_box
 from redkit.multisource import (
@@ -19,7 +19,7 @@ from redkit.multisource import (
     prune_dataset,
     sweep_tau,
 )
-from redkit.overlap import build_overlap_graph, preset_nuscenes
+from redkit.overlap import build_overlap_graph, preset_nuscenes, view_arc
 from redkit.synth import SynthParams, camera_at_yaw, generate_scene, nuscenes_like_cameras
 
 GRAPH = preset_nuscenes()
@@ -484,6 +484,8 @@ def test_crop_full_arc_returns_whole_image():
     crop = crop_overlap(img, cam, (-35.0, 35.0))
     assert crop.width == img.width
     assert crop.height == img.height
+    # a semicircle, the widest arc accepted, covers the view too
+    assert crop_overlap(img, cam, (-90.0, 90.0)) == img
 
 
 def test_crop_known_arc_columns():
@@ -507,6 +509,27 @@ def test_crop_wrong_image_width_rejected():
     cam = camera_at_yaw("CAM_FRONT", 0.0, 70.0)
     with pytest.raises(ValueError):
         crop_overlap(gradient_image(width=640, height=480), cam, (-10.0, 10.0))
+
+
+def test_crop_arc_wrapping_past_the_seam_meets_the_view_one_turn_back():
+    # (160, 340) is (160, 180) plus (-180, -20): the view (-35, 35) meets it
+    # only after the arc is turned back by 360 degrees
+    cam = camera_at_yaw("C", 0.0, 70.0)
+    img = gradient_image()
+    crop = crop_overlap(img, cam, (160.0, 340.0))
+    first = angle_to_column(-view_arc(cam).half_width + 1e-9, cam)
+    last = angle_to_column(-20.0, cam)
+    assert (first, last) == (0, 384)
+    assert crop == GrayImage(img.pixels[:, :385])
+
+
+@pytest.mark.parametrize("arc", [(10.0, 10.0), (10.0, 5.0), (-90.0, 90.5)],
+                         ids=["empty", "negative", "over-a-semicircle"])
+def test_crop_rejects_arcs_that_are_empty_or_wider_than_a_semicircle(arc):
+    cam = camera_at_yaw("C", 0.0, 70.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"bad arc {arc!r}: end must exceed start by at most 180")):
+        crop_overlap(gradient_image(), cam, arc)
 
 
 def test_crop_respects_wraparound_arcs():

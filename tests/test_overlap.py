@@ -1,11 +1,10 @@
 import math
-import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from redkit.geometry import horizontal_fov
+from redkit.geometry import horizontal_fov, normalize_deg
 from redkit.overlap import (
     OverlapGraph,
     ViewArc,
@@ -62,30 +61,58 @@ def test_overlap_symmetric_in_arguments():
     assert overlap_arc(a, b)[0] == pytest.approx(overlap_arc(b, a)[0], abs=1e-12)
 
 
-def test_double_intersection_keeps_wider_arc_and_warns():
-    # half-widths over 90 degrees intersect on both sides of the circle
-    a = ViewArc("A", 0.0, 100.0)
-    b = ViewArc("B", 170.0, 95.0)
-    with pytest.warns(UserWarning):
-        degrees, _ = overlap_arc(a, b)
-    assert degrees == pytest.approx(25.0, abs=1e-9)
-
-
 centers = st.floats(-180.0, 179.999)
-half_widths = st.floats(1.0, 179.0)
+half_widths = st.floats(1.0, 90.0)
 
 
 @given(centers, half_widths, centers, half_widths)
 def test_overlap_bounded_by_narrower_arc(c1, w1, c2, w2):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fwd = overlap_arc(ViewArc("A", c1, w1), ViewArc("B", c2, w2))
-        rev = overlap_arc(ViewArc("B", c2, w2), ViewArc("A", c1, w1))
+    fwd = overlap_arc(ViewArc("A", c1, w1), ViewArc("B", c2, w2))
+    rev = overlap_arc(ViewArc("B", c2, w2), ViewArc("A", c1, w1))
     if fwd is None:
         assert rev is None
         return
     assert fwd[0] == pytest.approx(rev[0], abs=1e-9)
     assert fwd[0] <= min(2 * w1, 2 * w2) + 1e-9
+
+
+def three_shift_overlap(a, b):
+    """The widest of the three one-turn shifts of ``b`` against ``a``: the
+    intersection that arcs wider than a semicircle would need."""
+    delta = normalize_deg(b.center - a.center)
+    candidates = []
+    for shift in (delta - 360.0, delta, delta + 360.0):
+        lo = max(-a.half_width, shift - b.half_width)
+        hi = min(a.half_width, shift + b.half_width)
+        if hi > lo:
+            candidates.append((hi - lo, lo, hi))
+    if not candidates:
+        return None
+    width, lo, _ = max(candidates)
+    start = normalize_deg(a.center + lo)
+    return width, (start, start + width)
+
+
+SEAM = math.nextafter(180.0, 0.0)
+seam_centers = st.sampled_from(
+    [-180.0, math.nextafter(-180.0, 0.0), -SEAM, SEAM, 0.0, 90.0, -90.0])
+any_half_width = st.one_of(
+    st.sampled_from([90.0, math.nextafter(90.0, 0.0), 1e-300, 45.0]),
+    st.floats(0.0, 90.0, exclude_min=True),
+)
+
+
+@given(st.one_of(centers, seam_centers), any_half_width,
+       st.one_of(centers, seam_centers), any_half_width)
+@example(-180.0, 90.0, SEAM, 90.0)
+@example(0.0, 90.0, -180.0, 90.0)
+@example(SEAM, 1e-300, -180.0, 1e-300)
+def test_overlap_matches_three_shift_reference(c1, w1, c2, w2):
+    # half widths of at most 90 meet once, so the unshifted interval is the
+    # whole answer, float for float
+    a, b = ViewArc("A", c1, w1), ViewArc("B", c2, w2)
+    assert overlap_arc(a, b) == three_shift_overlap(a, b)
+    assert overlap_arc(b, a) == three_shift_overlap(b, a)
 
 
 def test_graph_pair_count_bound_and_monotone_filtering():
@@ -164,8 +191,11 @@ def test_small_rigs_have_empty_graphs_and_names_must_be_unique():
 
 
 def test_view_arc_validation():
+    assert ViewArc("A", 0.0, 90.0).half_width == 90.0
     with pytest.raises(ValueError):
         ViewArc("A", 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"half width must be in \(0, 90\]"):
+        ViewArc("A", 0.0, math.nextafter(90.0, 180.0))
     with pytest.raises(ValueError):
         ViewArc("A", 0.0, 180.0)
     with pytest.raises(ValueError):

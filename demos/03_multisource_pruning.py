@@ -17,12 +17,13 @@ def main():
     params = SynthParams(seed=424_242, n_objects=14, n_frames=5)
     dataset, truth = generate_scene(params, cameras=nuscenes_like_cameras())
     scene = dataset.scenes[0]
-    graph = build_overlap_graph(scene.cameras)
+    g = build_overlap_graph(scene.cameras)
+    graphs = {s.scene_id: g for s in dataset.scenes}
 
     total = sum(len(a.boxes2d) for f in scene.frames for a in f.annotations)
     print(f"scene {scene.scene_id}: {len(scene.frames)} frames, {total} 2D labels")
 
-    stats = group_stats(dataset, graph)
+    stats = group_stats(dataset, graphs)
     print(f"\nredundancy groups: {stats['label_totals']['groups']} over all frames")
     print("groups per overlapping camera pair:")
     for pair, count in stats["per_pair_group_counts"].items():
@@ -36,13 +37,13 @@ def main():
             print(f"  [{lo:.2f}, {hi:.2f}{close} {'#' * count} {count}")
 
     tau = 0.3
-    kept, row = prune_dataset(dataset, graph, tau)
+    kept, row = prune_dataset(dataset, graphs, tau)
     print(f"\npruning at tau={tau}: deleted={row.deleted}, "
           f"remaining={row.remaining}, tracks={row.tracks}")
 
     print("\nthreshold sweep:")
     print("tau     deleted  remaining  tracks")
-    for r in sweep_tau(dataset, graph, [0.0, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0]):
+    for r in sweep_tau(dataset, graphs, [0.0, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0]):
         print(f"{r.tau:4.1f} {r.deleted:10d} {r.remaining:10d} {r.tracks:7d}")
 
     print(f"\nground truth expected {len(truth.expected_groups)} grouped "

@@ -56,14 +56,16 @@ def _echo(args: argparse.Namespace) -> dict:
     return config
 
 
-def _build_graphs(dataset: Dataset, args: argparse.Namespace
-                  ) -> dict[str, OverlapGraph]:
+def _grouping_input(args: argparse.Namespace
+                    ) -> tuple[Dataset, dict[str, OverlapGraph]]:
+    """The dataset's annotations and each scene's overlap graph."""
+    dataset = parse_dataset(args.dataset, parts=("annotations",))
     if args.overlap_mode == "preset-nuscenes":
         # the preset has no use for --min-overlap, but the report echoes it
         check_threshold(args.min_overlap, "min_overlap")
         g = preset_nuscenes()
-        return {s.scene_id: g for s in dataset.scenes}
-    return {
+        return dataset, {s.scene_id: g for s in dataset.scenes}
+    return dataset, {
         s.scene_id: build_overlap_graph(s.cameras, args.min_overlap)
         for s in dataset.scenes
     }
@@ -81,8 +83,7 @@ def cmd_audit(args: argparse.Namespace) -> dict[str, str]:
     """Inventory a dataset: overlap graph, group counts, completeness
     histogram, and (when images are available) the crop-similarity prescreen.
     """
-    dataset = parse_dataset(args.dataset, parts=("annotations",))
-    graphs = _build_graphs(dataset, args)
+    dataset, graphs = _grouping_input(args)
     report = {
         "config": _echo(args),
         "scenes": [
@@ -114,8 +115,7 @@ def cmd_audit(args: argparse.Namespace) -> dict[str, str]:
 
 def cmd_prune(args: argparse.Namespace) -> dict[str, str]:
     """Prune at one threshold and emit the surviving labels."""
-    dataset = parse_dataset(args.dataset, parts=("annotations",))
-    graphs = _build_graphs(dataset, args)
+    dataset, graphs = _grouping_input(args)
     kept, row = prune_dataset(
         dataset, graphs, args.tau, args.label_source, dict(args.pair_tau))
     files = {f"labels/{name}": text for name, text in emit_labels(dataset, kept).items()}
@@ -133,8 +133,7 @@ def cmd_prune(args: argparse.Namespace) -> dict[str, str]:
 
 def cmd_sweep(args: argparse.Namespace) -> dict[str, str]:
     """Prune at a list of thresholds and tabulate the counts as CSV."""
-    dataset = parse_dataset(args.dataset, parts=("annotations",))
-    graphs = _build_graphs(dataset, args)
+    dataset, graphs = _grouping_input(args)
     rows = sweep_tau(dataset, graphs, args.taus, args.label_source,
                      dict(args.pair_tau))
     lines = ["tau,deleted,remaining,tracks"]

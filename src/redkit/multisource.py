@@ -41,8 +41,9 @@ class Observation:
 @dataclass(frozen=True)
 class RedundancyGroup:
     """All observations of one object across graph-connected cameras, and
-    the overlap edges between them: the scene graph's pairs whose two
-    cameras both observe the object, in graph order."""
+    the overlap edges between them: the pairs of its scene's graph in
+    ``graphs`` (``{s.scene_id: g for s in dataset.scenes}`` for one shared
+    rig) whose two cameras both observe the object, in graph order."""
 
     scene_id: str
     frame: int
@@ -93,30 +94,6 @@ def _observations(scene: Scene, source: str
             yield f.timestamp_ns, ann, observations
 
 
-def _components(cams: Sequence[str], adjacency: Mapping[str, frozenset[str]]
-                ) -> list[frozenset[str]]:
-    """Connected components of the overlap subgraph induced by ``cams``."""
-    present = set(cams)
-    seen: set[str] = set()
-    out = []
-    for start in sorted(present):
-        if start in seen:
-            continue
-        stack = [start]
-        comp: set[str] = set()
-        while stack:
-            cur = stack.pop()
-            if cur in comp:
-                continue
-            comp.add(cur)
-            for peer in adjacency.get(cur, frozenset()):
-                if peer in present and peer not in comp:
-                    stack.append(peer)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
-
-
 # --------------------------------------------------------------------------
 # dataset-level pruning
 
@@ -133,15 +110,7 @@ class _DatasetIndex:
     tracks: int
 
 
-def _graph_for(graph: OverlapGraph | Mapping[str, OverlapGraph], scene_id: str
-               ) -> OverlapGraph:
-    if isinstance(graph, OverlapGraph):
-        return graph
-    return graph[scene_id]
-
-
-def _index_dataset(dataset: Dataset,
-                   graph: OverlapGraph | Mapping[str, OverlapGraph],
+def _index_dataset(dataset: Dataset, graphs: Mapping[str, OverlapGraph],
                    source: str) -> _DatasetIndex:
     if source not in LABEL_SOURCES:
         raise ValueError(f"unknown label source {source!r}, expected one of "
@@ -150,8 +119,8 @@ def _index_dataset(dataset: Dataset,
     groups: list[RedundancyGroup] = []
     tracks: set[tuple[str, str]] = set()
     for scene in dataset.scenes:
-        scene_graph = _graph_for(graph, scene.scene_id)
         sid = scene.scene_id
+        pairs = graphs[sid].pairs
         for ts, ann, observations in _observations(scene, source):
             if not observations:
                 continue
@@ -160,26 +129,34 @@ def _index_dataset(dataset: Dataset,
                 labels[(sid, ts, o.camera, ann.track_id)] = o.clipped
             if len(observations) < 2:
                 continue
-            # a group is an overlap-graph component with at least two
-            # observing cameras
-            for comp in _components([o.camera for o in observations],
-                                    scene_graph.adjacency):
-                if len(comp) >= 2:
+            # a group is a component, of at least two cameras, of the pairs
+            # whose two cameras both observe the object
+            seen = {o.camera for o in observations}
+            edges = [p for p in pairs if p.camera_a in seen and p.camera_b in seen]
+            component: dict[str, set[str]] = {}
+            for p in edges:
+                merged = (component.get(p.camera_a, {p.camera_a})
+                          | component.get(p.camera_b, {p.camera_b}))
+                for camera in merged:
+                    component[camera] = merged
+            # observations come in name order, so each group is emitted at
+            # its first camera
+            for o in observations:
+                members = component.get(o.camera, ())
+                if len(members) >= 2 and min(members) == o.camera:
                     groups.append(RedundancyGroup(
                         sid, ts, ann.track_id,
-                        tuple(o for o in observations if o.camera in comp),
-                        tuple(p for p in scene_graph.pairs
-                              if p.camera_a in comp and p.camera_b in comp)))
+                        tuple(x for x in observations if x.camera in members),
+                        tuple(p for p in edges if p.camera_a in members)))
     return _DatasetIndex(labels, groups, len(tracks))
 
 
 def _normalize_pair_taus(pair_taus: Mapping | None, dataset: Dataset,
-                         graph: OverlapGraph | Mapping[str, OverlapGraph]
+                         graphs: Mapping[str, OverlapGraph]
                          ) -> dict[frozenset[str], float]:
     """The overrides keyed by camera pair. An override whose cameras form
     an edge in no scene's graph could never apply, so it is an error."""
     out: dict[frozenset[str], float] = {}
-    graphs = [_graph_for(graph, scene.scene_id) for scene in dataset.scenes]
     for pair, value in (pair_taus or {}).items():
         key = frozenset(pair)
         if len(key) != 2:
@@ -187,7 +164,7 @@ def _normalize_pair_taus(pair_taus: Mapping | None, dataset: Dataset,
         value = float(value)
         check_threshold(value, f"pair override for {pair!r}")
         a, b = key
-        if all(b not in g.adjacency.get(a, ()) for g in graphs):
+        if all(b not in graphs[s.scene_id].adjacency.get(a, ()) for s in dataset.scenes):
             raise ValueError(f"pair override for {pair!r} names no overlapping "
                              "camera pair of any scene")
         out[key] = value
@@ -212,8 +189,7 @@ def _removed_keys(index: _DatasetIndex, tau: float,
     return removed
 
 
-def prune_dataset(dataset: Dataset,
-                  graph: OverlapGraph | Mapping[str, OverlapGraph],
+def prune_dataset(dataset: Dataset, graphs: Mapping[str, OverlapGraph],
                   tau: float, source: str = "native-2d",
                   pair_taus: Mapping | None = None
                   ) -> tuple[dict[LabelKey, Box2D], SweepRow]:
@@ -221,8 +197,8 @@ def prune_dataset(dataset: Dataset,
 
     Args:
         dataset: parsed dataset.
-        graph: the rig's overlap graph, or a scene-id keyed mapping when
-            scenes have different rigs.
+        graphs: each scene's overlap graph, keyed by scene id; pass
+            ``{s.scene_id: g for s in dataset.scenes}`` for one shared rig.
         tau: global completeness-gap threshold in ``[0, 1]`` scale.
         source: ``native-2d`` or ``projected-3d`` label source.
         pair_taus: optional per-camera-pair overrides, keyed by any
@@ -236,8 +212,8 @@ def prune_dataset(dataset: Dataset,
         this threshold.
     """
     check_threshold(tau, "tau")
-    overrides = _normalize_pair_taus(pair_taus, dataset, graph)
-    index = _index_dataset(dataset, graph, source)
+    overrides = _normalize_pair_taus(pair_taus, dataset, graphs)
+    index = _index_dataset(dataset, graphs, source)
     removed = _removed_keys(index, tau, overrides)
     kept = index.labels
     for key in removed:
@@ -245,36 +221,37 @@ def prune_dataset(dataset: Dataset,
     return kept, SweepRow(tau, len(removed), len(kept), index.tracks)
 
 
-def sweep_tau(dataset: Dataset,
-              graph: OverlapGraph | Mapping[str, OverlapGraph],
+def sweep_tau(dataset: Dataset, graphs: Mapping[str, OverlapGraph],
               taus: Sequence[float], source: str = "native-2d",
               pair_taus: Mapping | None = None) -> list[SweepRow]:
     """Prune at several thresholds, reusing one grouping pass.
 
-    Rows come back in the order of ``taus`` (no sorting, no deduplication).
+    ``graphs`` is keyed by scene id as in :func:`prune_dataset`, e.g.
+    ``{s.scene_id: g for s in dataset.scenes}``. Rows come back in the
+    order of ``taus`` (no sorting, no deduplication).
     """
     if not taus:
         raise ValueError("sweep needs at least one tau")
     for tau in taus:
         check_threshold(tau, "tau")
-    overrides = _normalize_pair_taus(pair_taus, dataset, graph)
-    index = _index_dataset(dataset, graph, source)
+    overrides = _normalize_pair_taus(pair_taus, dataset, graphs)
+    index = _index_dataset(dataset, graphs, source)
     deleted = [len(_removed_keys(index, tau, overrides)) for tau in taus]
     return [SweepRow(tau, d, len(index.labels) - d, index.tracks)
             for tau, d in zip(taus, deleted)]
 
 
-def group_stats(dataset: Dataset,
-                graph: OverlapGraph | Mapping[str, OverlapGraph],
+def group_stats(dataset: Dataset, graphs: Mapping[str, OverlapGraph],
                 source: str = "native-2d") -> dict:
     """The group sections of an audit report: label totals, per-pair group
-    counts and the BCS histogram of the grouped observations.
+    counts and the BCS histogram of the grouped observations. ``graphs`` is
+    keyed by scene id, e.g. ``{s.scene_id: g for s in dataset.scenes}``.
 
     A pair's count is the number of groups that contain both its cameras,
     keyed ``"camera_a|camera_b"``. The histogram has ``_BCS_BINS`` equal
     bins; a score of exactly 1 falls in the last bin.
     """
-    index = _index_dataset(dataset, graph, source)
+    index = _index_dataset(dataset, graphs, source)
     hist = [0] * _BCS_BINS
     pair_group_counts: dict[str, int] = {}
     grouped_obs = 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Any, Mapping, Sequence
 
 from .geometry import (
@@ -138,8 +138,6 @@ class GroundTruth:
     expected_groups: tuple[tuple[str, frozenset[str]], ...]
     expected_distances: dict[str, float]
     expected_rr: float | None
-    rr_per_frame: tuple[float | None, ...]
-    expected_visibility: dict[str, frozenset[str]] = field(default_factory=dict)
 
 
 def camera_at_yaw(name: str, yaw_deg: float, fov_deg: float = 70.0,
@@ -245,9 +243,8 @@ def generate_scene(params: SynthParams,
     adjacency = build_overlap_graph(cams).adjacency
 
     frames = []
-    expected_visibility: dict[str, frozenset[str]] = {}
+    visibility: list[tuple[str, list[str]]] = []
     expected_distances: dict[str, float] = {}
-    rr_per_frame: list[float | None] = []
     kept_total = 0
 
     for fi in range(params.n_frames):
@@ -255,7 +252,6 @@ def generate_scene(params: SynthParams,
         annotations = []
         base_set: list[Box3D] = []
         lidar_set: list[Box3D] = []
-        frame_kept = 0
         for oi in range(params.n_objects):
             for _ in range(200):
                 bearing = rng.uniform(-180.0, 180.0)
@@ -302,7 +298,7 @@ def generate_scene(params: SynthParams,
                 cuboid=Cuboid3D(center, size, obj_yaw),
                 boxes2d=boxes2d,
             ))
-            expected_visibility[track_id] = frozenset(visible)
+            visibility.append((track_id, visible))
             expected_distances[track_id] = math.sqrt(
                 radius * radius + (height / 2.0) ** 2)
 
@@ -316,10 +312,8 @@ def generate_scene(params: SynthParams,
                 else:
                     jittered = center
                 lidar_set.append(Box3D(jittered, size, obj_yaw, score))
-                frame_kept += 1
+                kept_total += 1
 
-        kept_total += frame_kept
-        rr_per_frame.append(frame_kept / params.n_objects if params.n_objects else None)
         frames.append(Frame(
             timestamp_ns=fi * 100_000_000,
             annotations=tuple(annotations),
@@ -330,8 +324,7 @@ def generate_scene(params: SynthParams,
         ))
 
     expected_groups = []
-    for track_id in sorted(expected_visibility):
-        cams_seen = expected_visibility[track_id]
+    for track_id, cams_seen in sorted(visibility):
         if len(cams_seen) < 2:
             continue
         for comp in _graph_components(sorted(cams_seen), adjacency):
@@ -353,8 +346,6 @@ def generate_scene(params: SynthParams,
         expected_groups=tuple(expected_groups),
         expected_distances=expected_distances,
         expected_rr=expected_rr,
-        rr_per_frame=tuple(rr_per_frame),
-        expected_visibility=expected_visibility,
     )
     return dataset, truth
 

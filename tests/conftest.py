@@ -73,6 +73,12 @@ def dataset_of(*scenes, class_map=None):
     return Dataset(scenes=tuple(scenes), class_map=class_map)
 
 
+def graphs_of(dataset, graph):
+    """``graph`` as the overlap graph of every scene of ``dataset``, keyed
+    by scene id as the grouping functions take it."""
+    return {s.scene_id: graph for s in dataset.scenes}
+
+
 def box_with_bcs(fraction, cam: CameraModel, row=100.0):
     """A 10px-wide box hanging off the left image edge.
 

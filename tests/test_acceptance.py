@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import graphs_of
 from redkit.cli import main
 from redkit.geometry import Box2D, Cuboid3D, bcs, cuboid_corners, iou3d
 from redkit.ingest import write_dataset
@@ -99,7 +100,7 @@ def test_criterion_02_prune_rule_fidelity_vs_brute_force(fixture_corpus):
     checked = 0
     for ds, graph in fixture_corpus:
         for tau in TAU_GRID:
-            kept, _ = prune_dataset(ds, graph, tau)
+            kept, _ = prune_dataset(ds, graphs_of(ds, graph), tau)
             assert kept.keys() == brute_force_prune(ds, graph, tau)
             checked += 1
     assert checked == len(fixture_corpus) * len(TAU_GRID)
@@ -108,7 +109,7 @@ def test_criterion_02_prune_rule_fidelity_vs_brute_force(fixture_corpus):
 
 def test_criterion_03_deleted_count_monotone_in_tau(fixture_corpus):
     for ds, graph in fixture_corpus:
-        rows = sweep_tau(ds, graph, TAU_GRID)
+        rows = sweep_tau(ds, graphs_of(ds, graph), TAU_GRID)
         for earlier, later in zip(rows, rows[1:]):
             assert earlier.deleted >= later.deleted
         assert rows[-1].tau == 1.0
@@ -119,7 +120,7 @@ def test_criterion_04_track_set_invariant_across_taus(fixture_corpus):
     for ds, graph in fixture_corpus:
         baseline = {key[3] for key in label_keys(ds)}
         for tau in (0.0, 0.2, 0.5, 0.8, 1.0):
-            kept, row = prune_dataset(ds, graph, tau)
+            kept, row = prune_dataset(ds, graphs_of(ds, graph), tau)
             retained = {key[3] for key in kept}
             assert retained == baseline
             assert row.tracks == len(baseline)

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -29,7 +30,8 @@ from conftest import box_with_bcs, dataset_of, holder, json_values, pgm_mutants,
     scene_with_boxes
 from redkit.cli import build_parser, main
 from redkit.geometry import Box2D, Box3D, centroid_distance
-from redkit.ingest import Frame, Scene, ValidationError, parse_dataset, write_dataset
+from redkit.ingest import Frame, Scene, ValidationError, parse_dataset, scene_text, \
+    write_dataset
 from redkit.synth import (
     SynthParams,
     brute_force_prune,
@@ -1130,6 +1132,97 @@ def test_any_single_field_edit_runs_or_fails_cleanly(fuzz_base, data):
         # each command writes only under its own --out
         assert {p.relative_to(root).parts[0] for p in root.rglob("*")} <= {
             scene_file.name, *READING_COMMANDS}
+
+
+# ------------------------------------------------------ whole-file edits
+
+
+# out directory name -> the command line run on each mutant
+WHOLE_FILE_RUNS = {
+    "audit": ["audit"],
+    "audit-preset": ["audit", "--overlap-mode", "preset-nuscenes"],
+    "prune-native": ["prune", "--tau", "0.3", "--label-source", "native-2d"],
+    "prune-projected": ["prune", "--tau", "0.3", "--label-source", "projected-3d"],
+    "sweep": ["sweep", "--taus", "0.3"],
+    "mm": ["mm"],
+}
+# what a number token may become: overflow, negative zero, an integer past
+# every float's precision, the other JSON kinds, or deep nesting
+NESTING = st.sampled_from([1, 2, 999, 1001, 100_000]).map(lambda n: b"[" * n + b"]" * n)
+NUMBER_SWAPS = st.sampled_from([b"1e400", b"-0", b"1" * 23, b"true", b"null", b'"x"'])
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+@st.composite
+def scene_file_mutants(draw, base, donor):
+    """``base`` after one to three edits: byte flips, cuts, spans spliced in
+    from ``donor``, duplicated spans, inserted deep ``[``...``]`` nesting,
+    and number tokens swapped for another value."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["flip", "cut", "splice", "duplicate", "nest",
+                                     "number"]))
+        at = draw(st.integers(0, len(data)))
+        end = draw(st.integers(at, len(data)))
+        if edit == "flip":
+            if at < len(data):
+                data[at] ^= draw(st.integers(1, 255))
+        elif edit == "cut":
+            del data[at:end]
+        elif edit == "splice":
+            start = draw(st.integers(0, len(donor)))
+            data[at:end] = donor[start:draw(st.integers(start, len(donor)))]
+        elif edit == "duplicate":
+            data[end:end] = data[at:end]
+        elif edit == "nest":
+            data[at:at] = draw(NESTING)
+        else:
+            numbers = list(NUMBER.finditer(data))
+            if numbers:
+                token = draw(st.sampled_from(numbers))
+                data[token.start():token.end()] = draw(NUMBER_SWAPS | NESTING)
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def splice_donor():
+    """The text of a second ``sim`` scene, larger than ``fuzz_base``'s."""
+    ds, _ = generate_scene(SynthParams(seed=14, n_cameras=5, n_objects=3, n_frames=2,
+                                       detection_noise=0.1, drop_rate=0.3))
+    return scene_text(ds.scenes[0], ds.class_map).encode()
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_any_whole_file_edit_runs_or_fails_cleanly(fuzz_base, splice_donor, data):
+    # whole-file edits reach what single-field edits cannot: text that is no
+    # JSON, JSON nested past the recursion limit, and records of another scene
+    base, _, _ = fuzz_base
+    mutant = data.draw(scene_file_mutants(json.dumps(base).encode(), splice_donor),
+                       label="mutant")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        scene_file = root / "scene.json"
+        scene_file.write_bytes(mutant)
+        for name, (command, *args) in WHOLE_FILE_RUNS.items():
+            out = root / name
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = run_cli(command, "--dataset", scene_file, "--out", out, *args)
+            text = stderr.getvalue()
+            lines = [line for line in text.splitlines()
+                     if not line.startswith("redkit mm: skipping frame ")]
+            assert "Traceback" not in text
+            assert code in (0, 1)
+            if code == 1:
+                assert len(lines) == 1
+                assert lines[0].startswith(f"redkit {command}: error: ")
+                assert not out.exists()
+            else:
+                assert lines == []
+        # each run writes only under its own --out
+        assert {p.relative_to(root).parts[0] for p in root.rglob("*")} <= {
+            scene_file.name, *WHOLE_FILE_RUNS}
 
 
 # ------------------------------------------------- records a command reads

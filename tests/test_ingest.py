@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (
     HUGE,
     dataset_of,
+    graphs_of,
     holder,
     json_values,
     pgm_mutants,
@@ -1111,7 +1112,7 @@ def test_unsafe_scene_id_built_in_memory_writes_nothing(tmp_path):
     with pytest.raises(ValidationError, match="scene_id must be a non-empty string"):
         evil = dataclasses.replace(
             ds, scenes=(dataclasses.replace(ds.scenes[0], scene_id="../evil"),))
-        kept, _ = prune_dataset(evil, graph, 0.3)
+        kept, _ = prune_dataset(evil, graphs_of(evil, graph), 0.3)
         write_files(tmp_path / "out" / "labels", emit_labels(evil, kept))
     assert list(tmp_path.iterdir()) == []
 

@@ -1,13 +1,17 @@
 """Redundancy grouping, completeness pruning, sweeps, and the crop prescreen."""
 
 import dataclasses
+import itertools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import redkit.multisource
-from conftest import box_with_bcs, chain_ring_dataset, dataset_of, scene_with_boxes
+from conftest import box_with_bcs, chain_ring_dataset, dataset_of, graphs_of, \
+    scene_with_boxes
 from redkit.geometry import Box2D, angle_to_column, project_cuboid
 from redkit.ingest import LABEL_SOURCES, Dataset, Frame, GrayImage, Scene, ValidationError, \
     resolve_box
@@ -19,8 +23,10 @@ from redkit.multisource import (
     prune_dataset,
     sweep_tau,
 )
-from redkit.overlap import build_overlap_graph, preset_nuscenes, view_arc
-from redkit.synth import SynthParams, camera_at_yaw, generate_scene, nuscenes_like_cameras
+from redkit.overlap import OverlapGraph, OverlapPair, build_overlap_graph, preset_nuscenes, \
+    view_arc
+from redkit.synth import SynthParams, _graph_components, camera_at_yaw, generate_scene, \
+    nuscenes_like_cameras
 
 GRAPH = preset_nuscenes()
 RING = {cam.name: cam for cam in nuscenes_like_cameras()}
@@ -42,8 +48,8 @@ def frame_with(tracks):
 def groups_in(frame):
     """The redundancy groups the grouping index forms for one frame on the
     six-camera rig, in index order."""
-    scene = Scene(scene_id="s", cameras=tuple(RING.values()), frames=(frame,))
-    return _index_dataset(dataset_of(scene), GRAPH, "native-2d").groups
+    ds = dataset_of(Scene(scene_id="s", cameras=tuple(RING.values()), frames=(frame,)))
+    return _index_dataset(ds, graphs_of(ds, GRAPH), "native-2d").groups
 
 
 # ---------------------------------------------------------------- grouping
@@ -104,6 +110,64 @@ def test_offscreen_boxes_do_not_join_groups():
     assert groups_in(frame) == []
 
 
+def test_groups_come_out_ordered_by_first_camera():
+    # {CAM_00, CAM_03} starts before {CAM_01, CAM_02} and ends after it
+    names = ["CAM_00", "CAM_01", "CAM_02", "CAM_03"]
+    graph = OverlapGraph((OverlapPair("CAM_01", "CAM_02", 10.0, (0.0, 10.0)),
+                          OverlapPair("CAM_03", "CAM_00", 10.0, (0.0, 10.0))))
+    ds = dataset_of(Scene(scene_id="s", cameras=tuple(camera_at_yaw(n, 0.0) for n in names),
+                          frames=(frame_with({"obj": names}),)))
+    groups = _index_dataset(ds, graphs_of(ds, graph), "native-2d").groups
+    assert [[o.camera for o in g.observations] for g in groups] == [
+        ["CAM_00", "CAM_03"], ["CAM_01", "CAM_02"]]
+    assert [g.edges for g in groups] == [graph.pairs[1:], graph.pairs[:1]]
+
+
+# the preset's cameras and four more: a rig drawn from these may lack cameras
+# its graph names, and a graph may join cameras that observe nothing
+CAMERA_POOL = sorted(RING) + ["CAM_00", "CAM_01", "CAM_02", "CAM_03"]
+
+
+@st.composite
+def random_graphs(draw):
+    """The preset, or pairs of pool cameras in any order and orientation."""
+    if draw(st.booleans()):
+        return GRAPH
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(CAMERA_POOL, 2))),
+                          max_size=12, unique=True))
+    return OverlapGraph(tuple(OverlapPair(*(pair[::-1] if draw(st.booleans()) else pair),
+                                          10.0, (0.0, 10.0)) for pair in pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs(), st.data())
+def test_groups_are_the_observers_components_with_their_edges(graph, data):
+    # most of the pool, and each camera observing about half the objects, so
+    # that an object often has several components
+    lacking = data.draw(st.sets(st.sampled_from(CAMERA_POOL), max_size=3))
+    rig = [name for name in CAMERA_POOL if name not in lacking]
+    observers = st.lists(st.booleans(), min_size=len(rig), max_size=len(rig)).map(
+        lambda seen: [name for name, s in zip(rig, seen) if s]).filter(bool)
+    tracks = data.draw(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), observers,
+                                       max_size=4))
+    scene = Scene(scene_id="s", cameras=tuple(camera_at_yaw(n, 0.0) for n in rig),
+                  frames=(frame_with(tracks),))
+    ds = dataset_of(scene)
+    groups = _index_dataset(ds, graphs_of(ds, graph), "native-2d").groups
+    for track_id, observers in sorted(tracks.items()):
+        mine = [g for g in groups if g.track_id == track_id]
+        cameras = [frozenset(o.camera for o in g.observations) for g in mine]
+        components = [c for c in _graph_components(sorted(observers), graph.adjacency)
+                      if len(c) >= 2]
+        assert sorted(cameras, key=sorted) == sorted(components, key=sorted)
+        firsts = [min(c) for c in cameras]
+        assert firsts == sorted(firsts)
+        for group, members in zip(mine, cameras):
+            assert [o.camera for o in group.observations] == sorted(members)
+            assert group.edges == tuple(p for p in graph.pairs
+                                        if {p.camera_a, p.camera_b} <= members)
+
+
 # ----------------------------------------------------------------- pruning
 
 
@@ -121,7 +185,8 @@ def group_dataset(scores):
 
 def prune_one_group(scores, tau):
     """The kept and the removed cameras of ``group_dataset(scores)``."""
-    kept, row = prune_dataset(group_dataset(scores), GRAPH, tau)
+    ds = group_dataset(scores)
+    kept, row = prune_dataset(ds, graphs_of(ds, GRAPH), tau)
     kept_cams = sorted(key[2] for key in kept)
     removed_cams = sorted(set(CHAIN[:len(scores)]) - set(kept_cams))
     assert (row.deleted, row.remaining) == (len(removed_cams), len(kept_cams))
@@ -156,7 +221,7 @@ def test_prune_never_removes_everything():
 
 def test_prune_partitions_the_group():
     ds = group_dataset([0.9, 0.7, 0.3, 0.2])
-    kept, row = prune_dataset(ds, GRAPH, 0.25)
+    kept, row = prune_dataset(ds, graphs_of(ds, GRAPH), 0.25)
     assert row.deleted + row.remaining == 4
     assert kept.keys() <= all_keys(ds)
     assert len(all_keys(ds) - kept.keys()) == row.deleted
@@ -167,8 +232,9 @@ def test_prune_tau_one_removes_nothing():
 
 
 def test_prune_rejects_negative_tau():
+    ds = group_dataset([0.9, 0.6])
     with pytest.raises(ValueError):
-        prune_dataset(group_dataset([0.9, 0.6]), GRAPH, -0.1)
+        prune_dataset(ds, graphs_of(ds, GRAPH), -0.1)
 
 
 # --------------------------------------------------------- dataset pruning
@@ -199,7 +265,7 @@ def two_group_dataset():
 
 def test_prune_dataset_global_tau():
     ds = two_group_dataset()
-    kept, row = prune_dataset(ds, GRAPH, tau=0.3)
+    kept, row = prune_dataset(ds, graphs_of(ds, GRAPH), tau=0.3)
     assert row.deleted == 2
     assert row.remaining == 3
     removed_cams = {key[2] for key in all_keys(ds) - kept.keys()}
@@ -208,14 +274,14 @@ def test_prune_dataset_global_tau():
 
 def test_prune_dataset_tau_one_is_identity():
     ds = two_group_dataset()
-    kept, row = prune_dataset(ds, GRAPH, tau=1.0)
+    kept, row = prune_dataset(ds, graphs_of(ds, GRAPH), tau=1.0)
     assert row.deleted == 0
     assert kept.keys() == all_keys(ds)
 
 
 def test_ungrouped_labels_survive_any_tau():
     ds = two_group_dataset()
-    kept, _ = prune_dataset(ds, GRAPH, tau=0.0)
+    kept, _ = prune_dataset(ds, graphs_of(ds, GRAPH), tau=0.0)
     assert ("scene-0", 0, "CAM_FRONT", "loner") in kept
 
 
@@ -229,7 +295,7 @@ def test_no_overlap_graph_means_no_deletion():
         cams, [{"t": {"CAM_A": BOX, "CAM_B": BOX}}]
     )
     ds = dataset_of(scene)
-    kept, row = prune_dataset(ds, graph, tau=0.0)
+    kept, row = prune_dataset(ds, graphs_of(ds, graph), tau=0.0)
     assert row.deleted == 0
     assert row.remaining == 2
 
@@ -237,7 +303,7 @@ def test_no_overlap_graph_means_no_deletion():
 def test_per_pair_tau_override_localizes_pruning():
     ds = two_group_dataset()
     overrides = {("CAM_FRONT", "CAM_FRONT_RIGHT"): 0.1}
-    kept, row = prune_dataset(ds, GRAPH, tau=1.0, pair_taus=overrides)
+    kept, row = prune_dataset(ds, graphs_of(ds, GRAPH), tau=1.0, pair_taus=overrides)
     assert row.deleted == 1
     assert ("scene-0", 0, "CAM_BACK_LEFT", "back-obj") in kept
     assert ("scene-0", 0, "CAM_FRONT_RIGHT", "front-obj") not in kept
@@ -245,28 +311,29 @@ def test_per_pair_tau_override_localizes_pruning():
 
 def test_pair_tau_order_does_not_matter():
     ds = two_group_dataset()
-    a, _ = prune_dataset(ds, GRAPH, 1.0, pair_taus={("CAM_FRONT", "CAM_FRONT_RIGHT"): 0.1})
-    b, _ = prune_dataset(ds, GRAPH, 1.0, pair_taus={("CAM_FRONT_RIGHT", "CAM_FRONT"): 0.1})
+    a, _ = prune_dataset(ds, graphs_of(ds, GRAPH), 1.0, pair_taus={("CAM_FRONT", "CAM_FRONT_RIGHT"): 0.1})
+    b, _ = prune_dataset(ds, graphs_of(ds, GRAPH), 1.0, pair_taus={("CAM_FRONT_RIGHT", "CAM_FRONT"): 0.1})
     assert a == b
 
 
 def test_nan_thresholds_rejected():
     ds = two_group_dataset()
     nan = float("nan")
+    one_group = group_dataset([0.9, 0.6])
     with pytest.raises(ValueError):
-        prune_dataset(group_dataset([0.9, 0.6]), GRAPH, nan)
+        prune_dataset(one_group, graphs_of(one_group, GRAPH), nan)
     with pytest.raises(ValueError):
-        prune_dataset(ds, GRAPH, nan)
+        prune_dataset(ds, graphs_of(ds, GRAPH), nan)
     with pytest.raises(ValueError):
-        sweep_tau(ds, GRAPH, [0.2, nan])
+        sweep_tau(ds, graphs_of(ds, GRAPH), [0.2, nan])
     for bad in (nan, -0.1, float("inf")):
         with pytest.raises(ValueError):
-            prune_dataset(ds, GRAPH, 0.5,
+            prune_dataset(ds, graphs_of(ds, GRAPH), 0.5,
                           pair_taus={("CAM_FRONT", "CAM_FRONT_RIGHT"): bad})
     with pytest.raises(ValueError, match="tau must be nonnegative"):
-        prune_dataset(ds, GRAPH, float("inf"))
+        prune_dataset(ds, graphs_of(ds, GRAPH), float("inf"))
     with pytest.raises(ValueError, match="tau must be nonnegative"):
-        sweep_tau(ds, GRAPH, [0.2, float("inf")])
+        sweep_tau(ds, graphs_of(ds, GRAPH), [0.2, float("inf")])
 
 
 def test_unknown_label_source_is_rejected_without_annotations():
@@ -276,9 +343,9 @@ def test_unknown_label_source_is_rejected_without_annotations():
     no_annotations = dataset_of(Scene(scene_id="s", cameras=tuple(RING.values()),
                                       frames=(Frame(0, ()),)))
     for ds in (no_annotations, Dataset((), {})):
-        for entry in (lambda: prune_dataset(ds, GRAPH, 0.3, "bogus"),
-                      lambda: sweep_tau(ds, GRAPH, [0.3], "bogus"),
-                      lambda: group_stats(ds, GRAPH, "bogus")):
+        for entry in (lambda: prune_dataset(ds, graphs_of(ds, GRAPH), 0.3, "bogus"),
+                      lambda: sweep_tau(ds, graphs_of(ds, GRAPH), [0.3], "bogus"),
+                      lambda: group_stats(ds, graphs_of(ds, GRAPH), "bogus")):
             with pytest.raises(ValueError, match="unknown label source 'bogus'"):
                 entry()
 
@@ -312,7 +379,7 @@ def test_kept_box_is_the_resolved_clipped_box(seed, source):
     anns = {(f.timestamp_ns, a.track_id): a for f in scene.frames for a in f.annotations}
     cut = 0
     for tau in (0.3, 1.0):
-        kept, row = prune_dataset(ds, GRAPH, tau, source)
+        kept, row = prune_dataset(ds, graphs_of(ds, GRAPH), tau, source)
         assert len(kept) == row.remaining > 0
         for (_, ts, camera, track_id), box in kept.items():
             full, clipped = resolve_box(anns[(ts, track_id)], scene.camera_map[camera],
@@ -336,7 +403,7 @@ def test_projection_skips_the_pairs_the_screen_drops(monkeypatch):
         return resolve_box(ann, cam, source)
 
     monkeypatch.setattr(redkit.multisource, "resolve_box", counting_resolve_box)
-    _, row = prune_dataset(ds, build_overlap_graph(scene.cameras), 1.0,
+    _, row = prune_dataset(ds, graphs_of(ds, build_overlap_graph(scene.cameras)), 1.0,
                            "projected-3d")
     pairs = sum(len(f.annotations) for f in scene.frames) * len(scene.cameras)
     assert row.remaining <= len(calls) < pairs / 3
@@ -356,7 +423,7 @@ def test_each_annotation_tries_its_cameras_in_name_order(monkeypatch, source):
         return resolve_box(ann, cam, source)
 
     monkeypatch.setattr(redkit.multisource, "resolve_box", recording_resolve_box)
-    prune_dataset(ds, build_overlap_graph(scene.cameras), 0.3, source)
+    prune_dataset(ds, graphs_of(ds, build_overlap_graph(scene.cameras)), 0.3, source)
     pairs = [(ann, cam) for f in scene.frames for ann in f.annotations
              for cam in sorted(scene.cameras, key=lambda c: c.name)]
     keys = [(ann.track_id, cam.name) for ann, cam in pairs]
@@ -390,7 +457,7 @@ def all_keys(ds):
 def test_sweep_rows_monotone_and_conserving():
     ds = two_group_dataset()
     taus = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-    rows = sweep_tau(ds, GRAPH, taus)
+    rows = sweep_tau(ds, graphs_of(ds, GRAPH), taus)
     assert [row.tau for row in rows] == taus
     total = len(all_keys(ds))
     for earlier, later in zip(rows, rows[1:]):
@@ -401,20 +468,20 @@ def test_sweep_rows_monotone_and_conserving():
 
 def test_sweep_single_tau_one():
     ds = two_group_dataset()
-    rows = sweep_tau(ds, GRAPH, [1.0])
+    rows = sweep_tau(ds, graphs_of(ds, GRAPH), [1.0])
     assert len(rows) == 1
     assert rows[0].deleted == 0
 
 
 def test_sweep_duplicate_taus_repeat_rows():
     ds = two_group_dataset()
-    rows = sweep_tau(ds, GRAPH, [0.3, 0.3])
+    rows = sweep_tau(ds, graphs_of(ds, GRAPH), [0.3, 0.3])
     assert rows[0] == rows[1]
 
 
 def test_sweep_tracks_constant():
     ds = two_group_dataset()
-    rows = sweep_tau(ds, GRAPH, [0.0, 0.2, 0.5, 1.0])
+    rows = sweep_tau(ds, graphs_of(ds, GRAPH), [0.0, 0.2, 0.5, 1.0])
     tracks = {row.tracks for row in rows}
     assert len(tracks) == 1
     assert tracks.pop() == 3
@@ -422,13 +489,13 @@ def test_sweep_tracks_constant():
     scene = ds.scenes[0]
     again = dataclasses.replace(scene.frames[0], timestamp_ns=1)
     twice = dataset_of(dataclasses.replace(scene, frames=(scene.frames[0], again)))
-    assert {row.tracks for row in sweep_tau(twice, GRAPH, [0.0, 0.5, 1.0])} == {3}
+    assert {row.tracks for row in sweep_tau(twice, graphs_of(twice, GRAPH), [0.0, 0.5, 1.0])} == {3}
 
 
 def test_sweep_matches_individual_prunes():
     ds = two_group_dataset()
-    for tau, row in zip([0.0, 0.35, 0.9], sweep_tau(ds, GRAPH, [0.0, 0.35, 0.9])):
-        _, single = prune_dataset(ds, GRAPH, tau)
+    for tau, row in zip([0.0, 0.35, 0.9], sweep_tau(ds, graphs_of(ds, GRAPH), [0.0, 0.35, 0.9])):
+        _, single = prune_dataset(ds, graphs_of(ds, GRAPH), tau)
         assert row == single
 
 
@@ -446,11 +513,11 @@ def _ring_rig():
 @pytest.mark.parametrize("rig", [_ring_rig, _chain_rig], ids=["ring", "chain"])
 def test_group_stats_agree_with_groups_and_prune_counts(rig):
     ds, graph, source = rig()
-    stats = group_stats(ds, graph, source)
+    stats = group_stats(ds, graphs_of(ds, graph), source)
     totals = stats["label_totals"]
     counts = stats["bcs_histogram"]["counts"]
-    groups = _index_dataset(ds, graph, source).groups
-    _, row = prune_dataset(ds, graph, 1.0, source)
+    groups = _index_dataset(ds, graphs_of(ds, graph), source).groups
+    _, row = prune_dataset(ds, graphs_of(ds, graph), 1.0, source)
     assert totals["groups"] == len(groups) > 0
     assert totals["grouped_observations"] == sum(len(g.observations) for g in groups)
     assert sum(counts) == totals["grouped_observations"]

